@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Commands: ram, foulkes, rnu, table, verify.  Global flags --format
-(text, csv, json), --max-n (raises the expansion caps, or bounds verify
-sweeps), --threads.  Output is deterministic for fixed inputs; JSON
-carries every coefficient as a decimal string.
+(text, csv, json) and --max-n (raises the expansion caps, or bounds
+verify sweeps).  Output is deterministic for fixed inputs; JSON carries
+every coefficient as a decimal string.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 resource cap exceeded.
@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from .config import DEFAULT_CAPS
@@ -182,8 +181,6 @@ def cmd_foulkes(args) -> int:
 
 def cmd_rnu(args) -> int:
     cap = _effective_cap(args.max_n, DEFAULT_CAPS.schur_degree, "expansion degree")
-    if args.n > cap:
-        raise CapExceeded(f"n = {args.n} exceeds the cap {cap}; raise it with --max-n")
     if args.basis == "ell":
         expansion = rnu_ell_expansion(args.n, args.u)
         doc = {
@@ -194,6 +191,8 @@ def cmd_rnu(args) -> int:
         }
         text = _format_ell_text(expansion)
     else:
+        if args.n > cap:
+            raise CapExceeded(f"n = {args.n} exceeds the cap {cap}; raise it with --max-n")
         expansion = rnu_schur_expansion(args.n, args.u, cap=cap)
         doc = {
             "kind": "schur-expansion",
@@ -223,14 +222,9 @@ def cmd_table(args) -> int:
         raise ValueError(f"--u-max must be >= 0, got {u_max}")
     cap = _effective_cap(args.max_n, DEFAULT_CAPS.schur_degree, "expansion degree")
 
-    def column(n: int) -> list[bool]:
-        return [check_positivity(n, u, cap=cap).schur_positive for u in range(u_max + 1)]
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            columns = list(pool.map(column, ns))
-    else:
-        columns = [column(n) for n in ns]
+    columns = [
+        [check_positivity(n, u, cap=cap).schur_positive for u in range(u_max + 1)] for n in ns
+    ]
 
     verdicts = [["Y" if columns[j][u] else "N" for j in range(len(ns))] for u in range(u_max + 1)]
     doc = {
@@ -320,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="raise a resource cap, or bound a verify sweep",
     )
-    common.add_argument("--threads", type=int, default=1, help="worker threads for table cells")
 
     parser = argparse.ArgumentParser(
         prog="ramschur",
@@ -375,9 +368,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -289,10 +289,12 @@ def check_positivity(n: int, u: int, *, cap: int | None = None) -> PositivityVer
     """Decide whether R(n, u) is Schur positive.
 
     Fast path: if all ell-basis coefficients are nonnegative the answer
-    is yes without expanding.  Otherwise the full Schur expansion is
-    scanned.
+    is yes without expanding, whatever the degree.  Otherwise the full
+    Schur expansion is scanned, and only that step is held to the
+    Schur-degree cap.
     """
-    _check_degree(n, cap)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if u < 0:
         raise ValueError(f"u must be >= 0, got {u}")
     ys = [y_coefficient(n, k, u) for k in divisors(n)]

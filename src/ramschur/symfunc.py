@@ -1,19 +1,30 @@
-"""Partitions, border-strip addition, and exact Schur-basis expansions.
+"""Partitions, rectangle characters, and exact Schur-basis expansions.
 
 Partitions are tuples of weakly decreasing positive ints.  A Schur
 expansion is a sparse map from partitions to nonzero integer
 coefficients, all of one degree.
 
-The engine applies a power-sum factor p_d to a whole expansion at once
-by adding every border strip of size d to every term with the sign
-(-1)^height.  Iterating d = const from the empty partition yields the
-expansion of p_d^(n/d); its coefficient at lambda is the symmetric group
-character chi^lambda evaluated on the class with n/d cycles of length d.
+The Schur expansion of p_d^k (n = dk) has coefficient chi^lambda(d^k)
+at lambda: the symmetric group character on the class of k d-cycles.  By
+the d-quotient theorem (Macdonald, Symmetric Functions and Hall
+Polynomials, Ch. I; James-Kerber 2.7; Fomin-Lulov 1995) it is 0 unless
+lambda has an empty d-core, and otherwise
 
-Strips are added in the beta-number (first-column hook) encoding: with
-L = rows + d beads beta_i = lambda_i + L - 1 - i, adding a border strip
-of size d moves one bead up by d onto a free slot, and the sign counts
-the beads jumped over.  Each addition is O(rows + d).
+    sign * k! / prod_j |lambda^(j)|! * prod_j f^(lambda^(j))
+
+over the quotient lambda^(0), ..., lambda^(d-1), with f the number of
+standard Young tableaux; the multinomial is a product of binomials.
+
+The expansion is generated from the quotients.  For each tuple of
+partitions whose sizes sum to k, runner j of a d-runner abacus gets t
+beads at levels lambda^(j)_i + t - 1 - i (t the most parts of any
+piece); level l of runner j is position d*l + j, and the merged positions
+are the beta-numbers of lambda.  The sign is (-1) to the number of bead
+pairs in which the bead on the lower runner lies higher, counted
+relative to the empty core, which has C(t, 2) such pairs per pair of
+runners; it equals (-1) to the total leg length of any removal of
+d-hooks down to the core.  For d = 1 the coefficient is f^lambda, from
+the hook length formula.  Only the final expansions are cached.
 
 Major-index distributions come from the q-analog hook length formula;
 the polynomial division is performed exactly over the integers and any
@@ -24,7 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial
+from itertools import combinations, product
+from math import comb, factorial
+from operator import sub
 from typing import Iterator, Mapping
 
 from .config import DEFAULT_CAPS
@@ -39,7 +52,6 @@ __all__ = [
     "hook_lengths",
     "syt_count",
     "SchurExpansion",
-    "multiply_by_power_sum",
     "power_sum_rectangle_expansion",
     "MajDistribution",
     "maj_distribution",
@@ -123,12 +135,15 @@ def conjugate(shape: Partition) -> Partition:
 def hook_lengths(shape: Partition) -> tuple[int, ...]:
     """Hook lengths of all cells, row by row."""
     _require_partition(shape)
-    conj = conjugate(shape)
-    hooks = []
-    for i, row in enumerate(shape):
-        for j in range(row):
-            hooks.append(row - j + conj[j] - i - 1)
-    return tuple(hooks)
+    # legs[j] = (length of column j) - j, so the hook at (i, j) is
+    # legs[j] + shape[i] - i - 1.
+    legs = []
+    rows = len(shape)
+    for j in range(shape[0] if shape else 0):
+        while shape[rows - 1] <= j:
+            rows -= 1
+        legs.append(rows - j)
+    return tuple(leg + row - i - 1 for i, row in enumerate(shape) for leg in legs[:row])
 
 
 def syt_count(shape: Partition) -> int:
@@ -167,90 +182,47 @@ class SchurExpansion:
         return len(self.terms)
 
 
-def _add_cell_targets(mu: Partition) -> list[Partition]:
-    # d = 1: addable corners, all with sign +1.
-    targets = []
-    for i, part in enumerate(mu):
-        if i == 0 or part < mu[i - 1]:
-            targets.append(mu[:i] + (part + 1,) + mu[i + 1 :])
-    targets.append(mu + (1,))
-    return targets
-
-
-def _addable_strips(mu: Partition, d: int) -> list[tuple[Partition, int]]:
-    """All (lambda, sign) with lambda/mu a border strip of size d."""
-    rows = len(mu)
-    length = rows + d
-    beta = [mu[i] + length - 1 - i for i in range(rows)]
-    beta.extend(range(length - 1 - rows, -1, -1))
-    beta_set = set(beta)
-    out = []
-    for i in range(length):
-        target = beta[i] + d
-        if target in beta_set:
-            continue
-        crossed = 0
-        j = i - 1
-        while j >= 0 and beta[j] < target:
-            crossed += 1
-            j -= 1
-        pos = i - crossed
-        new_beta = beta[:pos] + [target] + beta[pos:i] + beta[i + 1 :]
-        parts = []
-        for t, b in enumerate(new_beta):
-            part = b - (length - 1 - t)
-            if part == 0:
-                break
-            parts.append(part)
-        out.append((tuple(parts), -1 if crossed & 1 else 1))
-    return out
-
-
-def _multiply_terms(terms: Mapping[Partition, int], d: int) -> dict:
-    out: dict = {}
-    if d == 1:
-        for mu, c in terms.items():
-            for lam in _add_cell_targets(mu):
-                out[lam] = out.get(lam, 0) + c
-    else:
-        for mu, c in terms.items():
-            for lam, sign in _addable_strips(mu, d):
-                out[lam] = out.get(lam, 0) + (c if sign > 0 else -c)
-    return {lam: c for lam, c in out.items() if c}
-
-
-def multiply_by_power_sum(expansion: SchurExpansion, d: int) -> SchurExpansion:
-    """Schur expansion of p_d times the given expansion."""
-    if d < 1:
-        raise ValueError(f"power-sum index must be >= 1, got {d}")
-    return SchurExpansion(expansion.n + d, _multiply_terms(expansion.terms, d))
-
-
-# Cached chain of p_d^k expansions keyed (d, k).  Fills are idempotent, so
-# concurrent computation is wasteful but safe; setdefault keeps one winner.
-_CHAIN: dict[tuple[int, int], Mapping[Partition, int]] = {}
-
-
-def _power_chain(d: int, k: int) -> Mapping[Partition, int]:
-    if k == 0:
-        return {(): 1}
-    cached = _CHAIN.get((d, k))
-    if cached is not None:
-        return cached
-    j = k - 1
-    while j > 0 and (d, j) not in _CHAIN:
-        j -= 1
-    terms = _CHAIN[(d, j)] if j > 0 else {(): 1}
-    for level in range(j + 1, k + 1):
-        terms = _CHAIN.setdefault((d, level), _multiply_terms(terms, d))
-    return terms
-
-
+@lru_cache(maxsize=None)
 def _rectangle_terms(n: int, d: int) -> Mapping[Partition, int]:
     # Internal, read-only view; callers must not mutate.
     if d < 1 or n < 0 or n % d != 0:
         raise ValueError(f"need d >= 1 and d | n, got n={n}, d={d}")
-    return _power_chain(d, n // d)
+    if d == 1:
+        return {lam: syt_count(lam) for lam in partition_list(n)}
+    k = n // d
+    syt = [[(mu, syt_count(mu)) for mu in partition_list(m)] for m in range(k + 1)]
+    runner_pairs = comb(d, 2)
+    terms = {}
+    # Quotient sizes: the compositions of k into d parts, as bar positions.
+    for bars in combinations(range(k + d - 1), d - 1):
+        sizes = [b - a - 1 for a, b in zip((-1, *bars), (*bars, k + d - 1))]
+        multinomial = 1
+        placed = 0
+        for m in sizes:
+            placed += m
+            multinomial *= comb(placed, m)
+        for quotient in product(*(syt[m] for m in sizes)):
+            t = max(len(mu) for mu, _ in quotient)
+            coeff = multinomial
+            beads = []
+            for j, (mu, f) in enumerate(quotient):
+                coeff *= f
+                beads += [d * (part + t - 1 - i) + j for i, part in enumerate(mu)]
+                beads += range(j, d * (t - len(mu)), d)
+            beads.sort()
+            # Walking up the abacus, a bead lies above every bead already
+            # passed on a higher runner.  Counting from the empty core's
+            # C(t, 2) per pair of runners gives the same parity as
+            # counting relative to it.
+            crossings = runner_pairs * comb(t, 2)
+            passed = [0] * d
+            for bead in beads:
+                runner = bead % d
+                crossings += sum(passed[runner + 1 :])
+                passed[runner] += 1
+            lam = tuple(filter(None, map(sub, beads, range(d * t))))[::-1]
+            terms[lam] = -coeff if crossings & 1 else coeff
+    return terms
 
 
 def power_sum_rectangle_expansion(n: int, d: int, *, cap: int | None = None) -> SchurExpansion:

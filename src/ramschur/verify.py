@@ -7,7 +7,6 @@ failure.  The CLI `verify` subcommand and the scripts drive these.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from math import gcd
@@ -77,16 +76,14 @@ def _fail(name: str, detail: str) -> CheckResult:
 
 
 def check_ramanujan_brute_force(max_n=None):
+    # Kluyver's formula c_d(r) = sum over e | gcd(d, r) of e * mu(d/e),
+    # exact and independent of the von Sterneck evaluation.
     name = "ramanujan-brute-force"
     limit = _bound(max_n, 60)
     for d in range(1, limit + 1):
-        coprime = [m for m in range(1, d + 1) if gcd(m, d) == 1]
         for r in range(1, limit + 1):
-            acc = sum(math.cos(2.0 * math.pi * m * r / d) for m in coprime)
-            nearest = round(acc)
-            if abs(acc - nearest) >= 1e-6:
-                return _fail(name, f"residual {abs(acc - nearest):.2e} at d={d}, r={r}")
-            if nearest != ramanujan_sum(d, r):
+            kluyver = sum(e * moebius(d // e) for e in divisors(gcd(d, r)))
+            if kluyver != ramanujan_sum(d, r):
                 return _fail(name, f"mismatch at d={d}, r={r}")
     return _ok(name, f"d, r <= {limit}")
 

@@ -3,9 +3,10 @@
 These deliberately avoid the library's algorithms: Ramanujan sums are
 recomputed as floating-point sums over primitive roots of unity, SYT
 counts through the factorial-quotient product formula (not hooks),
-border strips by direct skew-diagram geometry, major indices by
-explicit tableau enumeration, and partition counts by the classic
-two-variable recurrence.
+border strips by direct skew-diagram geometry, rectangle characters by
+iterated Murnaghan-Nakayama border-strip addition (not d-quotients),
+major indices by explicit tableau enumeration, and partition counts by
+the classic two-variable recurrence.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+from ramschur.symfunc import SchurExpansion
 
 
 def brute_force_ramanujan(d: int, r: int) -> tuple[int, float]:
@@ -89,6 +92,59 @@ def border_strips_brute(mu: tuple[int, ...], d: int) -> set[tuple[tuple[int, ...
         height = len({i for i, _ in cells}) - 1
         out.add((lam, -1 if height % 2 else 1))
     return out
+
+
+def addable_strips(mu: tuple[int, ...], d: int) -> list[tuple[tuple[int, ...], int]]:
+    """All (lambda, sign) with lambda/mu a border strip of size d.
+
+    Beta-number encoding: with L = rows + d beads beta_i = mu_i + L - 1 - i,
+    adding a strip of size d moves one bead up by d onto a free slot, and
+    the sign counts the beads jumped over.
+    """
+    rows = len(mu)
+    length = rows + d
+    beta = [mu[i] + length - 1 - i for i in range(rows)]
+    beta.extend(range(length - 1 - rows, -1, -1))
+    beta_set = set(beta)
+    out = []
+    for i in range(length):
+        target = beta[i] + d
+        if target in beta_set:
+            continue
+        crossed = 0
+        j = i - 1
+        while j >= 0 and beta[j] < target:
+            crossed += 1
+            j -= 1
+        pos = i - crossed
+        new_beta = beta[:pos] + [target] + beta[pos:i] + beta[i + 1 :]
+        parts = []
+        for t, b in enumerate(new_beta):
+            part = b - (length - 1 - t)
+            if part == 0:
+                break
+            parts.append(part)
+        out.append((tuple(parts), -1 if crossed & 1 else 1))
+    return out
+
+
+def multiply_by_power_sum(expansion: SchurExpansion, d: int) -> SchurExpansion:
+    """Schur expansion of p_d times the given expansion, strip by strip."""
+    if d < 1:
+        raise ValueError(f"power-sum index must be >= 1, got {d}")
+    out: dict = {}
+    for mu, c in expansion.terms.items():
+        for lam, sign in addable_strips(mu, d):
+            out[lam] = out.get(lam, 0) + sign * c
+    return SchurExpansion(expansion.n + d, out)
+
+
+def power_sum_chain(d: int):
+    """Yield the Schur terms of p_d, p_d^2, p_d^3, ... without end."""
+    expansion = SchurExpansion(0, {(): 1})
+    while True:
+        expansion = multiply_by_power_sum(expansion, d)
+        yield expansion.terms
 
 
 def syt_count_product(shape: tuple[int, ...]) -> int:

@@ -141,9 +141,14 @@ class TestRnu:
         assert "u must be" in err
 
     def test_cap_exceeded(self, capsys):
-        code, _, err = run(capsys, "rnu", "--n", "46", "--u", "1", "--basis", "ell")
+        code, _, err = run(capsys, "rnu", "--n", "46", "--u", "1")
         assert code == 3
         assert "--max-n" in err
+
+    def test_ell_basis_is_not_capped(self, capsys):
+        code, out, _ = run(capsys, "rnu", "--n", "100", "--u", "1", "--basis", "ell")
+        assert code == 0
+        assert out.strip() == "10 l[100] + 10 l[50] + 40 l[20] + 40 l[10]"
 
     def test_cap_override_warns(self, capsys):
         code, out, err = run(
@@ -190,12 +195,6 @@ class TestTable:
         assert code == 1
         assert "MISMATCH at n=8, u=0" in out
 
-    def test_threads_agree(self, capsys):
-        code1, out1, _ = run(capsys, "table", "--n", "8,9,16", "--u-max", "4")
-        code2, out2, _ = run(capsys, "table", "--n", "8,9,16", "--u-max", "4", "--threads", "2")
-        assert code1 == code2 == 0
-        assert out1 == out2
-
     def test_bad_n_list(self, capsys):
         code, _, err = run(capsys, "table", "--n", "8,x")
         assert code == 2
@@ -206,10 +205,13 @@ class TestTable:
         assert code == 2
         assert "--u-max" in err
 
-    def test_bad_threads(self, capsys):
-        code, _, err = run(capsys, "table", "--n", "8", "--threads", "0")
-        assert code == 2
-        assert "--threads" in err
+    def test_ell_decided_cells_past_the_cap(self, capsys):
+        code, out, _ = run(capsys, "table", "--n", "100", "--u-max", "1")
+        assert code == 0
+        assert [line.split() for line in out.strip().splitlines()[1:]] == [
+            ["0", "Y"],
+            ["1", "Y"],
+        ]
 
 
 class TestVerifyCommand:

@@ -255,6 +255,16 @@ class TestPositivity:
             assert not v.ell_nonneg
             assert v.witness is None
 
+    def test_fast_path_ignores_the_degree_cap(self):
+        # R(100, 1) = 10 l(100) + 10 l(50) + 40 l(20) + 40 l(10): no expansion needed
+        v = check_positivity(100, 1)
+        assert v.schur_positive and v.ell_nonneg and v.witness is None
+
+    def test_cap_guards_the_expansion(self):
+        assert min(rnu_ell_expansion(48, 2).coeffs.values()) < 0
+        with pytest.raises(CapExceeded):
+            check_positivity(48, 2)
+
     def test_witness_is_first_reverse_lex(self):
         v = check_positivity(9, 4)
         assert not v.schur_positive

@@ -2,15 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramschur.arith import divisors
 from ramschur.errors import CapExceeded
 from ramschur.symfunc import (
     SchurExpansion,
-    _addable_strips,
     conjugate,
     hook_lengths,
     is_partition,
     maj_distribution,
-    multiply_by_power_sum,
     partition_list,
     partitions_of,
     power_sum_rectangle_expansion,
@@ -18,10 +17,13 @@ from ramschur.symfunc import (
 )
 
 from helpers import (
+    addable_strips,
     border_strips_brute,
     enumerate_syt_maj,
+    multiply_by_power_sum,
     partition_count,
     partitions_brute,
+    power_sum_chain,
     syt_count_product,
 )
 
@@ -97,11 +99,13 @@ class TestHooksAndSyt:
 
 
 class TestBorderStrips:
+    # The strip engine is the oracle for the rectangle characters; these
+    # tests keep it honest against direct skew-diagram geometry.
     def test_strip_addition_matches_geometry(self):
         for m in range(0, 7):
             for mu in partitions_brute(m):
                 for d in range(1, min(10 - m, 6) + 1):
-                    got = set(_addable_strips(mu, d))
+                    got = set(addable_strips(mu, d))
                     assert got == border_strips_brute(mu, d), (mu, d)
 
     def test_multiply_examples(self):
@@ -182,6 +186,25 @@ class TestRectangleExpansions:
                         assert total == d**k * math.factorial(k)
                     else:
                         assert total == 0
+
+    def test_matches_strip_oracle(self):
+        for d in range(1, 25):
+            chain = power_sum_chain(d)
+            for k in range(1, 24 // d + 1):
+                assert power_sum_rectangle_expansion(d * k, d).terms == next(chain), (d, k)
+
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda n: st.tuples(st.just(n), st.sampled_from(divisors(n)))
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_matches_strip_oracle_random(self, nd):
+        n, d = nd
+        chain = power_sum_chain(d)
+        for _ in range(n // d - 1):
+            next(chain)
+        assert power_sum_rectangle_expansion(n, d).terms == next(chain)
 
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError):
