@@ -180,7 +180,6 @@ def cmd_foulkes(args) -> int:
 
 
 def cmd_rnu(args) -> int:
-    cap = _effective_cap(args.max_n, DEFAULT_CAPS.schur_degree, "expansion degree")
     if args.basis == "ell":
         expansion = rnu_ell_expansion(args.n, args.u)
         doc = {
@@ -191,6 +190,7 @@ def cmd_rnu(args) -> int:
         }
         text = _format_ell_text(expansion)
     else:
+        cap = _effective_cap(args.max_n, DEFAULT_CAPS.schur_degree, "expansion degree")
         if args.n > cap:
             raise CapExceeded(f"n = {args.n} exceeds the cap {cap}; raise it with --max-n")
         expansion = rnu_schur_expansion(args.n, args.u, cap=cap)

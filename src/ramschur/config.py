@@ -7,8 +7,9 @@ from dataclasses import dataclass
 class Caps:
     """Default ceilings; every capped entry point takes an override.
 
-    schur_degree bounds full Schur expansions, and only them: the
-    ell-basis fast path of a positivity check runs at any degree.  Time
+    schur_degree bounds every step that reads Schur coefficients: full
+    Schur expansions and the scan stage of a positivity check; its
+    ell-basis stage runs at any degree.  Time
     and memory grow with the partition count (p(45) = 89134), and the
     memory held is the final expansions of p_d^(n/d) that were asked
     for, not a chain of every lower power.  maj_degree bounds major-index

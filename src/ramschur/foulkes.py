@@ -270,12 +270,13 @@ def sign_multiplicity(n: int, u: int) -> int:
 
 @dataclass(frozen=True)
 class PositivityVerdict:
-    """Outcome of the two-stage Schur positivity check.
+    """Outcome of the staged Schur positivity check.
 
     ell_nonneg reports whether every coefficient in the Foulkes basis is
     nonnegative (which forces Schur positivity); witness carries the
     first negative Schur coefficient in reverse lexicographic order when
-    the answer is negative.
+    the answer is negative.  route names the stage that decided: "ell"
+    (all ell-basis coefficients nonnegative) or "scan" (every other cell).
     """
 
     n: int
@@ -283,15 +284,19 @@ class PositivityVerdict:
     schur_positive: bool
     witness: Optional[tuple[Partition, int]]
     ell_nonneg: bool
+    route: str = ""
 
 
 def check_positivity(n: int, u: int, *, cap: int | None = None) -> PositivityVerdict:
-    """Decide whether R(n, u) is Schur positive.
+    """Decide whether R(n, u) is Schur positive, in two stages.
 
-    Fast path: if all ell-basis coefficients are nonnegative the answer
-    is yes without expanding, whatever the degree.  Otherwise the full
-    Schur expansion is scanned, and only that step is held to the
-    Schur-degree cap.
+    "ell": if all ell-basis coefficients are nonnegative the answer is
+    yes, whatever the degree.  "scan": past that, the Schur-degree cap
+    applies.  The d = 1 column, which holds every shape in reverse
+    lexicographic order, is walked up to the first negative coefficient
+    or to the end; each coefficient adds to f^lambda the rectangle
+    characters chi^lambda(d^(n/d)) of the d > 1 columns, weighted by
+    c_d(n/d)^u.  No expansion is built.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -299,17 +304,20 @@ def check_positivity(n: int, u: int, *, cap: int | None = None) -> PositivityVer
         raise ValueError(f"u must be >= 0, got {u}")
     ys = [y_coefficient(n, k, u) for k in divisors(n)]
     if min(ys) >= 0:
-        return PositivityVerdict(n, u, True, None, True)
-    expansion = rnu_schur_expansion(n, u, cap=cap)
-    if all(c >= 0 for c in expansion.terms.values()):
-        return PositivityVerdict(n, u, True, None, False)
-    witness = None
-    for lam in partition_list(n):
-        c = expansion.terms.get(lam, 0)
+        return PositivityVerdict(n, u, True, None, True, "ell")
+    _check_degree(n, cap)
+    columns = [
+        (w, _rectangle_terms(n, d).get) for d, w in _diagonal_weights(n, u).items() if d > 1 and w
+    ]
+    # The d = 1 column lists every shape in reverse lexicographic order,
+    # with weight c_1(n)^u = 1.
+    for lam, f in _rectangle_terms(n, 1).items():
+        c = f
+        for w, get in columns:
+            c += w * get(lam, 0)
         if c < 0:
-            witness = (lam, c)
-            break
-    return PositivityVerdict(n, u, False, witness, False)
+            return PositivityVerdict(n, u, False, (lam, c), False, "scan")
+    return PositivityVerdict(n, u, True, None, False, "scan")
 
 
 @dataclass(frozen=True)

@@ -184,7 +184,9 @@ class SchurExpansion:
 
 @lru_cache(maxsize=None)
 def _rectangle_terms(n: int, d: int) -> Mapping[Partition, int]:
-    # Internal, read-only view; callers must not mutate.
+    # Internal, read-only view; callers must not mutate.  The d = 1 column
+    # lists every shape in partition_list order (reverse lexicographic);
+    # check_positivity's scan relies on that order for its witness.
     if d < 1 or n < 0 or n % d != 0:
         raise ValueError(f"need d >= 1 and d | n, got n={n}, d={d}")
     if d == 1:

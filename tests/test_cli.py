@@ -151,11 +151,17 @@ class TestRnu:
         assert out.strip() == "10 l[100] + 10 l[50] + 40 l[20] + 40 l[10]"
 
     def test_cap_override_warns(self, capsys):
+        code, out, err = run(capsys, "rnu", "--n", "8", "--u", "1", "--max-n", "46")
+        assert code == 0
+        assert "warning: raising the expansion degree cap to 46" in err
+        assert out.strip() != ""
+
+    def test_ell_basis_has_no_cap_to_raise(self, capsys):
         code, out, err = run(
             capsys, "rnu", "--n", "46", "--u", "1", "--basis", "ell", "--max-n", "46"
         )
         assert code == 0
-        assert "warning: raising the expansion degree cap to 46" in err
+        assert err == ""
         assert out.strip() != ""
 
 

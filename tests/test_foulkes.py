@@ -236,6 +236,11 @@ class TestRnuSchurExpansion:
             rnu_schur_expansion(46, 0)
 
 
+def _first_negative(n, u):
+    terms = rnu_schur_expansion(n, u).terms
+    return next(((lam, terms[lam]) for lam in partition_list(n) if terms.get(lam, 0) < 0), None)
+
+
 class TestPositivity:
     def test_negative_with_witness(self):
         v = check_positivity(8, 3)
@@ -276,15 +281,27 @@ class TestPositivity:
                 break
             assert e.coefficient(earlier) >= 0
 
-    @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=4))
+    @given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=8))
     @settings(max_examples=100, deadline=None)
     def test_verdict_invariants(self, n, u):
+        # the staged decision against the full expansion, witness included
         v = check_positivity(n, u)
         if v.ell_nonneg:
             assert v.schur_positive
-        assert (v.witness is None) == v.schur_positive
-        expansion = rnu_schur_expansion(n, u)
-        assert v.schur_positive == all(c >= 0 for c in expansion.terms.values())
+        assert (v.route == "ell") == v.ell_nonneg
+        assert v.schur_positive == all(c >= 0 for c in rnu_schur_expansion(n, u).terms.values())
+        assert v.witness == _first_negative(n, u)
+
+    @pytest.mark.parametrize(
+        "n, u, route, positive",
+        [(6, 2, "ell", True), (8, 3, "scan", False), (24, 11, "scan", False),
+         (8, 2, "scan", True)],
+    )
+    def test_routes(self, n, u, route, positive):
+        # the witness of (8, 3) is the first shape, that of (24, 11) the eighth, (20, 4)
+        v = check_positivity(n, u)
+        assert (v.route, v.schur_positive) == (route, positive)
+        assert v.witness == _first_negative(n, u)
 
 
 class TestQuickReject:

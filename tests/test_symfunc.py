@@ -6,6 +6,7 @@ from ramschur.arith import divisors
 from ramschur.errors import CapExceeded
 from ramschur.symfunc import (
     SchurExpansion,
+    _rectangle_terms,
     conjugate,
     hook_lengths,
     is_partition,
@@ -152,6 +153,11 @@ class TestRectangleExpansions:
             col = power_sum_rectangle_expansion(n, 1).terms
             for lam in partition_list(n):
                 assert col[lam] == syt_count_product(lam)
+
+    def test_d1_column_is_in_partition_list_order(self):
+        # check_positivity's scan takes the first negative in this order as its witness
+        for n in range(31):
+            assert list(_rectangle_terms(n, 1)) == list(partition_list(n))
 
     def test_trivial_coefficient_is_one(self):
         for n, d in ((6, 2), (6, 3), (8, 4), (9, 3), (12, 6)):
