@@ -3,7 +3,12 @@
 Commands: ram, foulkes, rnu, table, verify.  Global flags --format
 (text, csv, json) and --max-n (raises the expansion caps, or bounds
 verify sweeps).  Output is deterministic for fixed inputs; JSON carries
-every coefficient as a decimal string.
+every coefficient, of any size, as a decimal string.
+
+There is one render path.  Each command computes its result and hands
+`_write` a JSON document, a thunk for its CSV rows (header row first)
+and a thunk for its text; only the requested format is built, and JSON
+is streamed to stdout as it is encoded.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 resource cap exceeded.
@@ -13,10 +18,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-from typing import Optional
+from itertools import islice
+from typing import Callable, Optional
 
 from .config import DEFAULT_CAPS
 from .errors import CapExceeded
@@ -27,11 +32,7 @@ from .foulkes import (
     rnu_schur_expansion,
 )
 from .ramat import build_matrix, row_sums, signed_trace, trace
-from .reference import (
-    reference_positivity_table,
-    reference_table_ns,
-    reference_table_u_max,
-)
+from .reference import reference_positivity_table
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
@@ -49,159 +50,109 @@ def _effective_cap(max_n: Optional[int], default: int, what: str) -> int:
     return max_n
 
 
-def _schur_terms_payload(expansion) -> list[dict]:
-    return [
-        {"partition": list(lam), "coeff": str(c)} for lam, c in expansion.items_desc()
-    ]
+def _write(fmt: str, doc: dict, rows: Callable[[], list], text: Callable[[], str]) -> None:
+    """Write one command's result to stdout; no other code does.
 
-
-def _ell_terms_payload(expansion) -> list[dict]:
-    return [{"divisor": k, "coeff": str(c)} for k, c in expansion.items_asc()]
-
-
-def _format_schur_text(expansion) -> str:
-    items = expansion.items_desc()
-    if not items:
-        return "0"
-    parts = []
-    for i, (lam, c) in enumerate(items):
-        mag = abs(c)
-        body = f"{mag} s[{','.join(map(str, lam))}]"
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(parts)
-
-
-def _format_ell_text(expansion) -> str:
-    items = sorted(expansion.coeffs.items(), reverse=True)
-    if not items:
-        return "0"
-    parts = []
-    for i, (k, c) in enumerate(items):
-        body = f"{abs(c)} l[{k}]"
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(parts)
-
-
-def _emit_csv(rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
-
-
-def _render_expansion(doc: dict, fmt: str, text: str) -> str:
+    `rows` (header row first) and `text` are called only for their own
+    format.  JSON is written while it is encoded, a block of tokens at a time.
+    """
+    out = sys.stdout  # looked up per call, so a caller's redirect takes effect
     if fmt == "json":
-        return json.dumps(doc, indent=2)
-    if fmt == "csv":
-        if doc["kind"] == "schur-expansion":
-            rows = [["partition", "coeff"]]
-            rows += [[" ".join(map(str, t["partition"])), t["coeff"]] for t in doc["terms"]]
+        chunks = json.JSONEncoder(indent=2).iterencode(doc)
+        # joined before writing: one write per token is far slower on a pipe
+        while block := "".join(islice(chunks, 65536)):
+            out.write(block)
+        out.write("\n")
+    elif fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerows(rows())
+    else:
+        out.write(text() + "\n")
+
+
+def _signed_sum(items, label: Callable) -> str:
+    """`3 s[4] - 2 s[3,1]` from (key, coeff) pairs; `0` when there are none."""
+    parts = []
+    for key, c in items:
+        body = f"{abs(c)} {label(key)}"
+        if parts:
+            parts.append(f"{'+' if c > 0 else '-'} {body}")
         else:
-            rows = [["divisor", "coeff"]]
-            rows += [[t["divisor"], t["coeff"]] for t in doc["terms"]]
-        return _emit_csv(rows)
-    return text
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
+
+
+def _schur_output(head: dict, expansion) -> tuple:
+    """`_write`'s document, rows and text for a Schur expansion."""
+    items = expansion.items_desc()
+    doc = {**head, "terms": [{"partition": list(lam), "coeff": str(c)} for lam, c in items]}
+    return (
+        doc,
+        lambda: [["partition", "coeff"]]
+        + [[" ".join(map(str, t["partition"])), t["coeff"]] for t in doc["terms"]],
+        lambda: _signed_sum(items, lambda lam: f"s[{','.join(map(str, lam))}]"),
+    )
 
 
 def cmd_ram(args) -> int:
-    n = args.n
-    what = args.what
+    n, what = args.n, args.what
     if what == "signed-trace" and n % 2 != 0:
         raise ValueError("signed-trace is defined for even n only")
+    doc = {"kind": "matrix", "n": n, "what": what}
     if what == "matrix":
         m = build_matrix(n)
-        doc = {
-            "kind": "matrix",
-            "n": n,
-            "what": "matrix",
-            "divisors": list(m.divisors),
-            "rows": [[str(v) for v in row] for row in m.rows],
-        }
-        if args.format == "json":
-            out = json.dumps(doc, indent=2)
-        elif args.format == "csv":
-            rows = [["d"] + [str(d) for d in m.divisors]]
-            rows += [[str(d)] + [str(v) for v in row] for d, row in zip(m.divisors, m.rows)]
-            out = _emit_csv(rows)
-        else:
-            width = max(len(str(v)) for row in m.rows for v in row)
-            width = max(width, max(len(str(d)) for d in m.divisors))
-            header = " ".join(f"{d:>{width}}" for d in m.divisors)
-            lines = [f"n = {n}, divisors: {' '.join(map(str, m.divisors))}"]
-            lines.append(f"{'':>{width}}  {header}")
-            for d, row in zip(m.divisors, m.rows):
-                lines.append(f"{d:>{width}}  " + " ".join(f"{v:>{width}}" for v in row))
-            out = "\n".join(lines)
+        divs = [str(d) for d in m.divisors]
+        doc["divisors"] = list(m.divisors)
+        doc["rows"] = [[str(v) for v in row] for row in m.rows]
+        labelled = [[d, *row] for d, row in zip(divs, doc["rows"])]
+
+        def text():
+            width = max(len(v) for row in labelled for v in row)
+            lines = [f"n = {n}, divisors: {' '.join(divs)}"]
+            for label, *row in [["", *divs], *labelled]:
+                lines.append(f"{label:>{width}}  " + " ".join(f"{v:>{width}}" for v in row))
+            return "\n".join(lines)
+
+        _write(args.format, doc, lambda: [["d", *divs], *labelled], text)
     elif what == "rowsums":
-        sums = row_sums(n)
-        doc = {
-            "kind": "matrix",
-            "n": n,
-            "what": "rowsums",
-            "terms": [{"divisor": d, "coeff": str(v)} for d, v in sorted(sums.items())],
-        }
-        if args.format == "json":
-            out = json.dumps(doc, indent=2)
-        elif args.format == "csv":
-            rows = [["divisor", "rowsum"]] + [[d, str(v)] for d, v in sorted(sums.items())]
-            out = _emit_csv(rows)
-        else:
-            out = "\n".join(f"{d}: {v}" for d, v in sorted(sums.items()))
+        sums = [(d, str(v)) for d, v in sorted(row_sums(n).items())]
+        doc["terms"] = [{"divisor": d, "coeff": v} for d, v in sums]
+        _write(
+            args.format,
+            doc,
+            lambda: [["divisor", "rowsum"], *sums],
+            lambda: "\n".join(f"{d}: {v}" for d, v in sums),
+        )
     else:
-        value = trace(n) if what == "trace" else signed_trace(n)
-        doc = {"kind": "matrix", "n": n, "what": what, "value": str(value)}
-        if args.format == "json":
-            out = json.dumps(doc, indent=2)
-        elif args.format == "csv":
-            out = _emit_csv([["n", "what", "value"], [n, what, str(value)]])
-        else:
-            out = str(value)
-    print(out)
+        value = str(trace(n) if what == "trace" else signed_trace(n))
+        doc["value"] = value
+        _write(args.format, doc, lambda: [["n", "what", "value"], [n, what, value]], lambda: value)
     return 0
 
 
 def cmd_foulkes(args) -> int:
     cap = _effective_cap(args.max_n, DEFAULT_CAPS.schur_degree, "expansion degree")
     expansion = foulkes_schur_multiplicities(args.n, args.r, cap=cap)
-    doc = {
-        "kind": "schur-expansion",
-        "n": args.n,
-        "r": args.r,
-        "terms": _schur_terms_payload(expansion),
-    }
-    print(_render_expansion(doc, args.format, _format_schur_text(expansion)))
+    head = {"kind": "schur-expansion", "n": args.n, "r": args.r}
+    _write(args.format, *_schur_output(head, expansion))
     return 0
 
 
 def cmd_rnu(args) -> int:
+    head = {"kind": f"{args.basis}-expansion", "n": args.n, "u": args.u}
     if args.basis == "ell":
-        expansion = rnu_ell_expansion(args.n, args.u)
-        doc = {
-            "kind": "ell-expansion",
-            "n": args.n,
-            "u": args.u,
-            "terms": _ell_terms_payload(expansion),
-        }
-        text = _format_ell_text(expansion)
-    else:
-        cap = _effective_cap(args.max_n, DEFAULT_CAPS.schur_degree, "expansion degree")
-        if args.n > cap:
-            raise CapExceeded(f"n = {args.n} exceeds the cap {cap}; raise it with --max-n")
-        expansion = rnu_schur_expansion(args.n, args.u, cap=cap)
-        doc = {
-            "kind": "schur-expansion",
-            "n": args.n,
-            "u": args.u,
-            "terms": _schur_terms_payload(expansion),
-        }
-        text = _format_schur_text(expansion)
-    print(_render_expansion(doc, args.format, text))
+        items = rnu_ell_expansion(args.n, args.u).items_asc()
+        doc = {**head, "terms": [{"divisor": k, "coeff": str(c)} for k, c in items]}
+        _write(
+            args.format,
+            doc,
+            lambda: [["divisor", "coeff"]] + [[t["divisor"], t["coeff"]] for t in doc["terms"]],
+            lambda: _signed_sum(reversed(items), lambda k: f"l[{k}]"),
+        )
+        return 0
+    cap = _effective_cap(args.max_n, DEFAULT_CAPS.schur_degree, "expansion degree")
+    if args.n > cap:
+        raise CapExceeded(f"n = {args.n} exceeds the cap {cap}; raise it with --max-n")
+    _write(args.format, *_schur_output(head, rnu_schur_expansion(args.n, args.u, cap=cap)))
     return 0
 
 
@@ -221,12 +172,11 @@ def cmd_table(args) -> int:
     if u_max < 0:
         raise ValueError(f"--u-max must be >= 0, got {u_max}")
     cap = _effective_cap(args.max_n, DEFAULT_CAPS.schur_degree, "expansion degree")
-
     columns = [
-        [check_positivity(n, u, cap=cap).schur_positive for u in range(u_max + 1)] for n in ns
+        ["Y" if check_positivity(n, u, cap=cap).schur_positive else "N" for u in range(u_max + 1)]
+        for n in ns
     ]
-
-    verdicts = [["Y" if columns[j][u] else "N" for j in range(len(ns))] for u in range(u_max + 1)]
+    verdicts = list(zip(*columns))  # one row per u
     doc = {
         "kind": "positivity-table",
         "ns": ns,
@@ -237,69 +187,59 @@ def cmd_table(args) -> int:
     mismatches = []
     if args.expected:
         expected = reference_positivity_table()
-        known = set(reference_table_ns())
-        for j, n in enumerate(ns):
-            for u in range(u_max + 1):
-                if n in known and u <= reference_table_u_max():
-                    want = expected[(n, u)]
-                    got = columns[j][u]
-                    if want != got:
-                        mismatches.append(
-                            {"n": n, "u": u, "computed": "Y" if got else "N", "expected": "Y" if want else "N"}
-                        )
+        for n, column in zip(ns, columns):
+            for u, got in enumerate(column):
+                want = "Y" if expected.get((n, u)) else "N"
+                if (n, u) in expected and want != got:
+                    mismatches.append({"n": n, "u": u, "computed": got, "expected": want})
         doc["expected_mismatches"] = mismatches
 
-    if args.format == "json":
-        out = json.dumps(doc, indent=2)
-    elif args.format == "csv":
-        rows = [["u"] + [str(n) for n in ns]]
-        rows += [[str(u)] + verdicts[u] for u in range(u_max + 1)]
-        if args.expected:
-            rows.append(["mismatches"] + [str(len(mismatches))])
-        out = _emit_csv(rows)
-    else:
+    def rows():
+        out = [["u", *map(str, ns)]] + [[str(u), *verdicts[u]] for u in range(u_max + 1)]
+        return out + [["mismatches", str(len(mismatches))]] if args.expected else out
+
+    def text():
         width = max(3, max(len(str(n)) for n in ns) + 1)
         lines = ["u\\n " + "".join(f"{n:>{width}}" for n in ns)]
         for u in range(u_max + 1):
             lines.append(f"{u:<4}" + "".join(f"{v:>{width}}" for v in verdicts[u]))
         if args.expected:
-            if mismatches:
-                for m in mismatches:
-                    lines.append(
-                        f"MISMATCH at n={m['n']}, u={m['u']}: computed {m['computed']}, "
-                        f"expected {m['expected']}"
-                    )
-            else:
-                lines.append("expected: all cells match")
-        out = "\n".join(lines)
-    print(out)
+            lines += [
+                f"MISMATCH at n={m['n']}, u={m['u']}: computed {m['computed']}, "
+                f"expected {m['expected']}"
+                for m in mismatches
+            ] or ["expected: all cells match"]
+        return "\n".join(lines)
+
+    _write(args.format, doc, rows, text)
     return 1 if mismatches else 0
 
 
 def cmd_verify(args) -> int:
     results = run_suite(args.suite, args.max_n)
     all_passed = all(r.passed for r in results)
-    if args.format == "json":
-        doc = {
-            "kind": "verify-report",
-            "suite": args.suite,
-            "max_n": args.max_n,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
-            "all_passed": all_passed,
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        rows = [["name", "passed", "detail"]]
-        rows += [[r.name, "yes" if r.passed else "no", r.detail] for r in results]
-        print(_emit_csv(rows))
-    else:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{status} {r.name}" + (f" ({r.detail})" if r.detail else ""))
+    doc = {
+        "kind": "verify-report",
+        "suite": args.suite,
+        "max_n": args.max_n,
+        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+        "all_passed": all_passed,
+    }
+
+    def text():
+        lines = [
+            f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f" ({r.detail})" if r.detail else "")
+            for r in results
+        ]
         passed = sum(1 for r in results if r.passed)
-        print(f"suite {args.suite}: {passed}/{len(results)} checks passed")
+        return "\n".join(lines + [f"suite {args.suite}: {passed}/{len(results)} checks passed"])
+
+    def rows():
+        return [["name", "passed", "detail"]] + [
+            [r.name, "yes" if r.passed else "no", r.detail] for r in results
+        ]
+
+    _write(args.format, doc, rows, text)
     return 0 if all_passed else 1
 
 
@@ -368,6 +308,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    # Coefficients of any size are written; in-process callers get the limit back.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CapExceeded as exc:
@@ -376,6 +320,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

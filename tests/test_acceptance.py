@@ -9,31 +9,33 @@ so a counterexample would be a finding, not a bug.
 import time
 from contextlib import contextmanager
 
-from ramschur.arith import divisors, factorize, ramanujan_sum
+from ramschur.arith import factorize
 from ramschur.foulkes import (
     check_positivity,
-    foulkes_schur_multiplicities,
     rnu_ell_expansion,
     rnu_schur_expansion,
     scalar_divisibility_check,
-    swanson_vanishing_check,
-    y_coefficient,
-)
-from ramschur.ramat import (
-    build_matrix,
-    row_sum_direct,
-    row_sum_fgk,
-    signed_trace,
-    trace,
 )
 from ramschur.reference import (
     reference_ell_expansions,
     reference_phi_expansions,
-    reference_positivity_table,
     reference_table_ns,
     reference_table_u_max,
 )
-from ramschur.symfunc import maj_distribution, partition_list
+from ramschur.verify import (
+    check_dual_foulkes,
+    check_ell_examples,
+    check_matrix_entry_sum,
+    check_matrix_square,
+    check_phi_expansions,
+    check_positivity_table,
+    check_row_sum_product_formula,
+    check_row_sum_vanishing,
+    check_signed_trace_formula,
+    check_swanson,
+    check_trace_formula,
+    check_y_nonneg_u01,
+)
 
 
 @contextmanager
@@ -49,12 +51,14 @@ def criterion(label, budget_seconds):
     assert elapsed < budget_seconds, f"{label}: {elapsed:.2f}s exceeded {budget_seconds}s"
 
 
+def passes(result):
+    assert result.passed, f"{result.name}: {result.detail}"
+
+
 def test_criterion_01_schur_expansions_small_n():
     with criterion("01-schur-expansions-n2-to-n6", 1.0):
-        expected = reference_phi_expansions()
-        assert sorted(expected) == [2, 3, 4, 5, 6]
-        for n, terms in expected.items():
-            assert rnu_schur_expansion(n, 0).terms == terms
+        assert sorted(reference_phi_expansions()) == [2, 3, 4, 5, 6]
+        passes(check_phi_expansions())
         # spot value quoted in the reference data
         assert rnu_schur_expansion(6, 0).coefficient((3, 2, 1)) == 14
 
@@ -67,74 +71,38 @@ def test_criterion_02_ell_basis_expansions():
             (8, 2): {8: 6, 4: 6, 2: -4},
             (9, 2): {9: 5, 3: 10, 1: -6},
         }
+        passes(check_ell_examples())
 
 
 def test_criterion_03_positivity_table():
     with criterion("03-positivity-table", 300.0):
-        expected = reference_positivity_table()
-        ns = reference_table_ns()
-        u_max = reference_table_u_max()
-        assert ns == [8, 9, 16, 18, 24, 25, 27, 32, 36, 40, 45]
-        assert u_max == 20
-        mismatches = []
-        for n in ns:
-            for u in range(u_max + 1):
-                got = check_positivity(n, u).schur_positive
-                if got != expected[(n, u)]:
-                    mismatches.append((n, u, "computed Y" if got else "computed N"))
-        assert not mismatches, f"table cells disagree: {mismatches}"
+        assert reference_table_ns() == [8, 9, 16, 18, 24, 25, 27, 32, 36, 40, 45]
+        assert reference_table_u_max() == 20
+        passes(check_positivity_table())
 
 
 def test_criterion_04_matrix_identities():
     with criterion("04-matrix-identities-n200", 30.0):
-        for n in range(1, 201):
-            m = build_matrix(n)
-            size = m.size
-            for i in range(size):
-                for j in range(size):
-                    v = sum(m.rows[i][k] * m.rows[k][j] for k in range(size))
-                    assert v == (n if i == j else 0), f"M^2 != nI at n={n}"
-            assert sum(sum(row) for row in m.rows) == n, f"entry sum at n={n}"
-            diag = [ramanujan_sum(d, n // d) for d in divisors(n)]
-            assert trace(n) == sum(diag), f"trace formula at n={n}"
-            if n % 2 == 0:
-                direct = sum(
-                    c if (n // d) % 2 == 0 else -c for d, c in zip(divisors(n), diag)
-                )
-                assert signed_trace(n) == direct, f"signed trace formula at n={n}"
+        passes(check_matrix_square(200))
+        passes(check_matrix_entry_sum(200))
+        passes(check_trace_formula(200))
+        passes(check_signed_trace_formula(200))
 
 
 def test_criterion_05_row_sums():
     with criterion("05-row-sums-n5000", 120.0):
-        for n in range(1, 5001):
-            even_n = n % 2 == 0
-            for d in divisors(n):
-                a = row_sum_fgk(n, d)
-                assert a == row_sum_direct(n, d), f"product formula at n={n}, d={d}"
-                assert a >= 0, f"negative row sum at n={n}, d={d}"
-                assert (a == 0) == (even_n and (n // d) % 2 == 1), (
-                    f"vanishing characterization at n={n}, d={d}"
-                )
+        passes(check_row_sum_product_formula(5000))
+        passes(check_row_sum_vanishing(5000))
 
 
 def test_criterion_06_dual_foulkes():
     with criterion("06-dual-foulkes-n12", 120.0):
-        for n in range(1, 13):
-            shapes = partition_list(n)
-            maj = {lam: maj_distribution(lam) for lam in shapes}
-            for r in range(1, n + 1):
-                mults = foulkes_schur_multiplicities(n, r)
-                for lam in shapes:
-                    assert mults.coefficient(lam) == maj[lam].count(r), (
-                        f"routes disagree at n={n}, r={r}, shape={lam}"
-                    )
+        passes(check_dual_foulkes(12))
 
 
 def test_criterion_07_swanson_vanishing():
     with criterion("07-swanson-vanishing-n12", 120.0):
-        for n in range(2, 13):
-            violations = swanson_vanishing_check(n)
-            assert violations == [], f"violations at n={n}: {violations[:3]}"
+        passes(check_swanson(12))
 
 
 def _squarefree(n):
@@ -143,11 +111,7 @@ def _squarefree(n):
 
 def test_criterion_08_positivity_theorems():
     with criterion("08-positivity-theorems", 180.0):
-        for n in range(1, 501):
-            for u in (0, 1):
-                for k in divisors(n):
-                    y = y_coefficient(n, k, u)
-                    assert y >= 0, f"Y_{u}[{n},{k}] = {y} < 0"
+        passes(check_y_nonneg_u01(500))
         for n in range(1, 31):
             covered = _squarefree(n) or (n % 4 == 0 and (n // 4) % 2 == 1 and _squarefree(n // 4))
             if not covered:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import ramschur.cli as cli
 from ramschur.cli import main
-from ramschur.foulkes import rnu_schur_expansion
+from ramschur.foulkes import rnu_ell_expansion, rnu_schur_expansion
+from ramschur.verify import CheckResult
 
 
 def run(capsys, *argv):
@@ -164,6 +169,28 @@ class TestRnu:
         assert err == ""
         assert out.strip() != ""
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int->str digit limit"
+    )
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_coefficients_past_the_digit_limit(self, capsys, fmt):
+        # Every coefficient of R(36, 20000) has over 6000 digits, past the
+        # interpreter's default int->str limit of 4300.
+        limit = sys.get_int_max_str_digits()
+        argv = ("rnu", "--n", "36", "--u", "20000", "--basis", "ell", "--format", fmt)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        if fmt != "json":
+            return
+        sys.set_int_max_str_digits(0)
+        try:
+            want = [str(c) for _, c in rnu_ell_expansion(36, 20000).items_asc()]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert [t["coeff"] for t in json.loads(out)["terms"]] == want
+        assert min(map(len, want)) > 4300
+
 
 class TestTable:
     def test_grid_text(self, capsys):
@@ -238,8 +265,6 @@ class TestVerifyCommand:
         assert len(doc["checks"]) == 4
 
     def test_failure_exits_1(self, capsys, monkeypatch):
-        from ramschur.verify import CheckResult
-
         monkeypatch.setattr(
             cli, "run_suite", lambda suite, max_n: [CheckResult("stub", False, "boom")]
         )
@@ -283,3 +308,110 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+# Golden corpus: every subcommand in every format, usage errors (exit 2),
+# cap errors (exit 3) and --max-n warnings, captured from the CLI and
+# compared byte for byte.  Regenerate after an intended output change with
+#     PYTHONPATH=src python tests/test_cli.py
+GOLDEN = Path(__file__).parent / "golden"
+FORMATS = ("text", "csv", "json")
+GOLDEN_CASES = {
+    "ram-matrix": ["ram", "--n", "12"],
+    "ram-matrix-n1": ["ram", "--n", "1"],
+    "ram-rowsums": ["ram", "--n", "12", "--what", "rowsums"],
+    "ram-trace": ["ram", "--n", "9", "--what", "trace"],
+    "ram-signed-trace": ["ram", "--n", "18", "--what", "signed-trace"],
+    "ram-signed-trace-odd": ["ram", "--n", "9", "--what", "signed-trace"],
+    "ram-bad-what": ["ram", "--n", "4", "--what", "bogus"],
+    "ram-zero-matrix": ["ram", "--n", "0"],
+    "ram-zero-rowsums": ["ram", "--n", "0", "--what", "rowsums"],
+    "ram-zero-trace": ["ram", "--n", "0", "--what", "trace"],
+    "foulkes": ["foulkes", "--n", "6", "--r", "3"],
+    "foulkes-bad-label": ["foulkes", "--n", "6", "--r", "0"],
+    "foulkes-cap": ["foulkes", "--n", "46", "--r", "1"],
+    "foulkes-max-n": ["foulkes", "--n", "5", "--r", "1", "--max-n", "50"],
+    "rnu-schur": ["rnu", "--n", "6", "--u", "2"],
+    "rnu-schur-negative": ["rnu", "--n", "8", "--u", "3"],
+    "rnu-n1": ["rnu", "--n", "1", "--u", "5"],
+    "rnu-ell": ["rnu", "--n", "12", "--u", "3", "--basis", "ell"],
+    "rnu-ell-large-n": ["rnu", "--n", "100", "--u", "1", "--basis", "ell"],
+    "rnu-ell-max-n": ["rnu", "--n", "46", "--u", "1", "--basis", "ell", "--max-n", "46"],
+    "rnu-ell-factor-limit": ["rnu", "--n", "1000000000039", "--u", "1", "--basis", "ell"],
+    "rnu-cap": ["rnu", "--n", "46", "--u", "1"],
+    "rnu-max-n": ["rnu", "--n", "8", "--u", "1", "--max-n", "46"],
+    "rnu-negative-u": ["rnu", "--n", "6", "--u", "-1"],
+    "rnu-bad-n": ["rnu", "--n", "0", "--u", "1"],
+    "table": ["table", "--n", "8,9", "--u-max", "4"],
+    "table-expected": ["table", "--n", "8,9,12", "--u-max", "4", "--expected"],
+    "table-mismatch": ["table", "--n", "8,9", "--u-max", "1", "--expected"],
+    "table-bad-n": ["table", "--n", "8,x"],
+    "table-bad-u-max": ["table", "--n", "8", "--u-max", "-1"],
+    "table-cap": ["table", "--n", "48", "--u-max", "2"],
+    "table-max-n": ["table", "--n", "8", "--u-max", "1", "--max-n", "50"],
+    "verify-arith": ["verify", "--suite", "arith", "--max-n", "20"],
+    "verify-matrix": ["verify", "--suite", "matrix", "--max-n", "20"],
+    "verify-foulkes": ["verify", "--suite", "foulkes", "--max-n", "6"],
+    "verify-paper-values": ["verify", "--suite", "paper-values", "--max-n", "9"],
+    "verify-all": ["verify", "--suite", "all", "--max-n", "6"],
+    "verify-failure": ["verify", "--suite", "arith"],
+    "unknown-command": ["bogus"],
+}
+
+
+def _golden_stubs(case):
+    """Library stand-ins for the exit-1 cases, as (name, replacement) pairs."""
+    if case == "table-mismatch":
+        return [("check_positivity", lambda n, u, **k: SimpleNamespace(schur_positive=n == 9))]
+    if case == "verify-failure":
+        results = [CheckResult("stub-pass", True, "fine"), CheckResult("stub-fail", False, "")]
+        return [("run_suite", lambda suite, max_n: results)]
+    return []
+
+
+def _golden_key(case, fmt):
+    return f"{case}.{fmt}"
+
+
+def _golden_status():
+    return json.loads((GOLDEN / "status.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_corpus(capsys, monkeypatch, case, fmt):
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, stub in _golden_stubs(case):
+        monkeypatch.setattr(cli, name, stub)
+    code, out, err = run(capsys, *GOLDEN_CASES[case], "--format", fmt)
+    key = _golden_key(case, fmt)
+    with open(GOLDEN / key, encoding="utf-8", newline="") as fh:
+        assert out == fh.read()
+    assert [code, err] == _golden_status()[key]
+
+
+def _write_golden():
+    import os
+    from unittest import mock
+
+    os.environ["COLUMNS"] = "80"
+    GOLDEN.mkdir(exist_ok=True)
+    status = {}
+    for case in sorted(GOLDEN_CASES):
+        for fmt in FORMATS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.ExitStack() as stack:
+                for name, stub in _golden_stubs(case):
+                    stack.enter_context(mock.patch.object(cli, name, stub))
+                stack.enter_context(contextlib.redirect_stdout(out))
+                stack.enter_context(contextlib.redirect_stderr(err))
+                code = main([*GOLDEN_CASES[case], "--format", fmt])
+            key = _golden_key(case, fmt)
+            with open(GOLDEN / key, "w", encoding="utf-8", newline="") as fh:
+                fh.write(out.getvalue())
+            status[key] = [code, err.getvalue()]
+    (GOLDEN / "status.json").write_text(json.dumps(status, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _write_golden()
