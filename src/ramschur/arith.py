@@ -10,6 +10,11 @@ d-th roots of unity.  It is evaluated through von Sterneck's formula
     c_d(r) = moebius(d/g) * phi(d) / phi(d/g),   g = gcd(d, r),
 
 so its value depends on r only through gcd(d, r).
+
+Because c_d(r) is multiplicative in d and c_{p^i}(r) depends only on the
+p-part of r, every table of c_d(n/e) over divisors d, e of n is a
+Kronecker product of one small block per prime power p^a || n;
+`_prime_kron` builds such tables from the single factorization of n.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .config import DEFAULT_CAPS
 from .errors import CapExceeded
@@ -142,9 +147,10 @@ def tau(n: IntLike) -> int:
 
 
 def is_prime(n: int) -> bool:
+    """Primality by trial division; like factorize, accepts n <= factor_limit."""
     if n < 2:
         return False
-    return _factor_tuple(n) == ((n, 1),)
+    return factorize(n).factors == ((n, 1),)
 
 
 def is_perfect_square(n: int) -> bool:
@@ -179,6 +185,17 @@ def ramanujan_sum(d: int, r: int) -> int:
     return _ramanujan_reduced(d, r)
 
 
+def _prime_power_sum(q: int, a: int, v: int) -> int:
+    """c_{q^a}(r) for prime q, where v = v_q(r) (any v >= a counts as a)."""
+    if a == 0:
+        return 1
+    if v >= a:
+        return (q - 1) * q ** (a - 1)
+    if v == a - 1:
+        return -(q ** (a - 1))
+    return 0
+
+
 def ramanujan_sum_prime_power(q: int, a: int, r: int) -> int:
     """c_{q^a}(r) for prime q by the three-case evaluation.
 
@@ -191,14 +208,31 @@ def ramanujan_sum_prime_power(q: int, a: int, r: int) -> int:
         raise ValueError(f"r must be >= 1, got {r}")
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-    if a == 0:
-        return 1
-    pk = q**a
-    if r % pk == 0:
-        return (q - 1) * q ** (a - 1)
-    if r % (pk // q) == 0:
-        return -(q ** (a - 1))
-    return 0
+    v = 0
+    while v < a and r % q == 0:
+        r //= q
+        v += 1
+    return _prime_power_sum(q, a, v)
+
+
+def _prime_kron(n: int, piece: Callable) -> tuple[list[int], list[list[int]]]:
+    """The divisors of n and the Kronecker product of piece(B_p) over p^a || n.
+
+    B_p is the (a+1) x (a+1) block B_p[i][j] = c_{p^i}(p^(a-j)), so that
+    c_d(n/e) is the product over p of B_p[v_p(d)][v_p(e)].  Column j of a
+    piece belongs to the exponent j of p; a piece may have any number of
+    rows.  Divisors come in mixed-radix order, the last prime varying
+    fastest, which is the order of the product's columns (and of its
+    rows, when every piece is square).  Only n is factored.
+    """
+    divs = [1]
+    out = [[1]]
+    for p, a in factorize(n).factors:
+        block = [[_prime_power_sum(p, i, a - j) for j in range(a + 1)] for i in range(a + 1)]
+        divs = [d * p**j for d in divs for j in range(a + 1)]
+        part = piece(block)
+        out = [[x * y for x in row for y in prow] for row in out for prow in part]
+    return divs, out
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ verify sweeps).  Output is deterministic for fixed inputs; JSON carries
 every coefficient, of any size, as a decimal string.
 
 There is one render path.  Each command computes its result and hands
-`_write` a JSON document, a thunk for its CSV rows (header row first)
-and a thunk for its text; only the requested format is built, and JSON
-is streamed to stdout as it is encoded.
+`_write` three thunks: its JSON document, its CSV rows (header row
+first) and its text; only the requested format is built, and JSON is
+streamed to stdout as it is encoded.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 resource cap exceeded.
@@ -21,7 +21,7 @@ import csv
 import json
 import sys
 from itertools import islice
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .config import DEFAULT_CAPS
 from .errors import CapExceeded
@@ -50,15 +50,18 @@ def _effective_cap(max_n: Optional[int], default: int, what: str) -> int:
     return max_n
 
 
-def _write(fmt: str, doc: dict, rows: Callable[[], list], text: Callable[[], str]) -> None:
+def _write(
+    fmt: str, doc: Callable[[], dict], rows: Callable[[], Iterable], text: Callable[[], str]
+) -> None:
     """Write one command's result to stdout; no other code does.
 
-    `rows` (header row first) and `text` are called only for their own
-    format.  JSON is written while it is encoded, a block of tokens at a time.
+    `doc`, `rows` (header row first) and `text` are each called only for
+    their own format.  JSON is written while it is encoded, a block of
+    tokens at a time.
     """
     out = sys.stdout  # looked up per call, so a caller's redirect takes effect
     if fmt == "json":
-        chunks = json.JSONEncoder(indent=2).iterencode(doc)
+        chunks = json.JSONEncoder(indent=2).iterencode(doc())
         # joined before writing: one write per token is far slower on a pipe
         while block := "".join(islice(chunks, 65536)):
             out.write(block)
@@ -84,13 +87,16 @@ def _signed_sum(items, label: Callable) -> str:
 def _schur_output(head: dict, expansion) -> tuple:
     """`_write`'s document, rows and text for a Schur expansion."""
     items = expansion.items_desc()
-    doc = {**head, "terms": [{"partition": list(lam), "coeff": str(c)} for lam, c in items]}
-    return (
-        doc,
-        lambda: [["partition", "coeff"]]
-        + [[" ".join(map(str, t["partition"])), t["coeff"]] for t in doc["terms"]],
-        lambda: _signed_sum(items, lambda lam: f"s[{','.join(map(str, lam))}]"),
-    )
+
+    def doc():
+        return {**head, "terms": [{"partition": list(lam), "coeff": str(c)} for lam, c in items]}
+
+    def rows():
+        yield ["partition", "coeff"]
+        for lam, c in items:
+            yield [" ".join(map(str, lam)), str(c)]
+
+    return doc, rows, lambda: _signed_sum(items, lambda lam: f"s[{','.join(map(str, lam))}]")
 
 
 def cmd_ram(args) -> int:
@@ -112,20 +118,21 @@ def cmd_ram(args) -> int:
                 lines.append(f"{label:>{width}}  " + " ".join(f"{v:>{width}}" for v in row))
             return "\n".join(lines)
 
-        _write(args.format, doc, lambda: [["d", *divs], *labelled], text)
+        _write(args.format, lambda: doc, lambda: [["d", *divs], *labelled], text)
     elif what == "rowsums":
         sums = [(d, str(v)) for d, v in sorted(row_sums(n).items())]
         doc["terms"] = [{"divisor": d, "coeff": v} for d, v in sums]
         _write(
             args.format,
-            doc,
+            lambda: doc,
             lambda: [["divisor", "rowsum"], *sums],
             lambda: "\n".join(f"{d}: {v}" for d, v in sums),
         )
     else:
         value = str(trace(n) if what == "trace" else signed_trace(n))
         doc["value"] = value
-        _write(args.format, doc, lambda: [["n", "what", "value"], [n, what, value]], lambda: value)
+        rows = [["n", "what", "value"], [n, what, value]]
+        _write(args.format, lambda: doc, lambda: rows, lambda: value)
     return 0
 
 
@@ -141,11 +148,10 @@ def cmd_rnu(args) -> int:
     head = {"kind": f"{args.basis}-expansion", "n": args.n, "u": args.u}
     if args.basis == "ell":
         items = rnu_ell_expansion(args.n, args.u).items_asc()
-        doc = {**head, "terms": [{"divisor": k, "coeff": str(c)} for k, c in items]}
         _write(
             args.format,
-            doc,
-            lambda: [["divisor", "coeff"]] + [[t["divisor"], t["coeff"]] for t in doc["terms"]],
+            lambda: {**head, "terms": [{"divisor": k, "coeff": str(c)} for k, c in items]},
+            lambda: [["divisor", "coeff"]] + [[k, str(c)] for k, c in items],
             lambda: _signed_sum(reversed(items), lambda k: f"l[{k}]"),
         )
         return 0
@@ -211,7 +217,7 @@ def cmd_table(args) -> int:
             ] or ["expected: all cells match"]
         return "\n".join(lines)
 
-    _write(args.format, doc, rows, text)
+    _write(args.format, lambda: doc, rows, text)
     return 1 if mismatches else 0
 
 
@@ -239,7 +245,7 @@ def cmd_verify(args) -> int:
             [r.name, "yes" if r.passed else "no", r.detail] for r in results
         ]
 
-    _write(args.format, doc, rows, text)
+    _write(args.format, lambda: doc, rows, text)
     return 0 if all_passed else 1
 
 

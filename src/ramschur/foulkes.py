@@ -12,7 +12,10 @@ congruent to r mod n.  It depends on r only through m = gcd(n, r) and
 is cached by that canonical key.
 
 In the ell basis, R(n, u) = sum over k | n of Y_u[n, n/k] * ell(n, k)
-where Y_u[n, k] = sum over d | n of c_k(n/d) * c_d(n/d)^u.
+where Y_u[n, k] = sum over d | n of c_k(n/d) * c_d(n/d)^u.  The whole row
+is built one prime at a time: with B_p[i][j] = c_{p^i}(p^(a-j)) for
+p^a || n, Y_u[n, k] is the product over p of the v_p(k)-th row sum of
+B_p * diag(B_p)^u, so n is the only integer factored.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Mapping, Optional
 
-from .arith import divisors, factorize, ramanujan_sum
+from .arith import _prime_kron, divisors, factorize, ramanujan_sum
 from .config import DEFAULT_CAPS
 from .errors import CapExceeded, InternalConsistencyError
 from .ramat import row_sum_fgk
@@ -108,7 +111,10 @@ def foulkes_schur_multiplicities(n: int, r: int, *, cap: int | None = None) -> S
 def y_coefficient(n: int, k: int, u: int) -> int:
     """Y_u[n, k] = sum over d | n of c_k(n/d) * c_d(n/d)^u, exactly.
 
-    Uses the convention x^0 = 1 for all x, including x = 0.
+    Uses the convention x^0 = 1 for all x, including x = 0.  This is the
+    direct sum over divisors, kept as the reference that `verify` and the
+    tests compare with; `rnu_ell_expansion` and `check_positivity` build
+    the whole row per prime instead.
     """
     if n < 1 or k < 1 or n % k != 0:
         raise ValueError(f"need k | n, got n={n}, k={k}")
@@ -219,18 +225,25 @@ class EllExpansion:
         return sorted(self.coeffs.items())
 
 
+def _ell_row(n: int, u: int) -> list[tuple[int, int]]:
+    """(k, Y_u[n, n/k]) for every k | n, ascending in k, one block per prime."""
+
+    def piece(block):
+        weights = [block[i][i] ** u for i in range(len(block))]
+        y = [sum(b * w for b, w in zip(row, weights)) for row in block]
+        return [y[::-1]]  # column e belongs to k = p^e, so it holds Y at p^(a-e)
+
+    divs, (row,) = _prime_kron(n, piece)
+    return sorted(zip(divs, row))
+
+
 def rnu_ell_expansion(n: int, u: int) -> EllExpansion:
     """R(n, u) in the Foulkes basis: coefficient of ell(n, k) is Y_u[n, n/k]."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if u < 0:
         raise ValueError(f"u must be >= 0, got {u}")
-    coeffs = {}
-    for k in divisors(n):
-        y = y_coefficient(n, n // k, u)
-        if y:
-            coeffs[k] = y
-    return EllExpansion(n, coeffs)
+    return EllExpansion(n, {k: y for k, y in _ell_row(n, u) if y})
 
 
 def _diagonal_weights(n: int, u: int) -> dict[int, int]:
@@ -302,8 +315,7 @@ def check_positivity(n: int, u: int, *, cap: int | None = None) -> PositivityVer
         raise ValueError(f"n must be >= 1, got {n}")
     if u < 0:
         raise ValueError(f"u must be >= 0, got {u}")
-    ys = [y_coefficient(n, k, u) for k in divisors(n)]
-    if min(ys) >= 0:
+    if min(y for _, y in _ell_row(n, u)) >= 0:
         return PositivityVerdict(n, u, True, None, True, "ell")
     _check_degree(n, cap)
     columns = [

@@ -4,6 +4,10 @@ For n >= 1 with divisors d_1 < ... < d_t, the matrix has entries
 M[i][j] = c_{d_i}(n / d_j).  It squares to n times the identity, its
 entries sum to n, and its rows sum to nonnegative integers with a
 closed product formula over the prime factorization.
+
+The matrix is built one prime at a time: it is the Kronecker product of
+the blocks B_p[i][j] = c_{p^i}(p^(a-j)) over p^a || n, with rows and
+columns then put in ascending divisor order.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import divisors, factorize, is_perfect_square, moebius, ramanujan_sum
+from .arith import _prime_kron, divisors, factorize, is_perfect_square, moebius, ramanujan_sum, tau
 from .config import DEFAULT_CAPS
 from .errors import CapExceeded
 
@@ -46,13 +50,15 @@ def build_matrix(n: int) -> RamanujanMatrix:
     """Dense Ramanujan matrix of n, rows and columns indexed by ascending divisors."""
     if n < 1:
         raise ValueError(f"build_matrix requires n >= 1, got {n}")
-    divs = divisors(n)
-    if len(divs) > DEFAULT_CAPS.matrix_divisors:
+    size = tau(n)
+    if size > DEFAULT_CAPS.matrix_divisors:
         raise CapExceeded(
-            f"n = {n} has {len(divs)} divisors, over the cap {DEFAULT_CAPS.matrix_divisors}"
+            f"n = {n} has {size} divisors, over the cap {DEFAULT_CAPS.matrix_divisors}"
         )
-    rows = tuple(tuple(ramanujan_sum(di, n // dj) for dj in divs) for di in divs)
-    return RamanujanMatrix(n, divs, rows)
+    divs, kron = _prime_kron(n, lambda block: block)
+    order = sorted(range(size), key=divs.__getitem__)
+    rows = tuple(tuple(kron[i][j] for j in order) for i in order)
+    return RamanujanMatrix(n, tuple(divs[i] for i in order), rows)
 
 
 def trace(n: int) -> int:

@@ -225,6 +225,14 @@ class TestPredicates:
         assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert not is_prime(1)
 
+    def test_is_prime_respects_the_factor_cap(self):
+        # 10^14 + 31 is prime; trial division past factor_limit grows with sqrt(n)
+        with pytest.raises(CapExceeded):
+            is_prime(10**14 + 31)
+        with pytest.raises(CapExceeded):
+            ramanujan_sum_prime_power(10**14 + 31, 1, 1)
+        assert is_prime(10**12 - 11)  # the largest prime the cap admits
+
     def test_is_perfect_square(self):
         assert [n for n in range(1, 50) if is_perfect_square(n)] == [1, 4, 9, 16, 25, 36, 49]
         assert not is_perfect_square(-4)

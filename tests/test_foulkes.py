@@ -157,6 +157,20 @@ class TestRnuEllExpansion:
     def test_coefficient_accessor_defaults_to_zero(self):
         assert rnu_ell_expansion(8, 2).coefficient(1) == 0
 
+    def test_matches_direct_sum(self):
+        for n in range(1, 401):
+            for u in range(7):
+                e = rnu_ell_expansion(n, u)
+                for k in divisors(n):
+                    assert e.coefficient(k) == y_coefficient(n, n // k, u), (n, u, k)
+
+    @pytest.mark.parametrize("n", [720720, 21621600])
+    def test_matches_structural_highly_composite(self, n):
+        for u in (0, 1, 2, 7):
+            e = rnu_ell_expansion(n, u)
+            for k in divisors(n):
+                assert e.coefficient(k) == y_coefficient_structural(n, n // k, u), (u, k)
+
 
 class TestRnuSchurExpansion:
     def test_phi_4(self):

@@ -26,6 +26,14 @@ class TestBuildMatrix:
         assert m.divisors == (1, 2, 4)
         assert m.rows == ((1, 1, 1), (1, 1, -1), (2, -2, 0))
 
+    @pytest.mark.parametrize("ns", [range(1, 401), [720720]], ids=["n<=400", "720720"])
+    def test_matches_entrywise(self, ns):
+        for n in ns:
+            m = build_matrix(n)
+            divs = divisors(n)
+            assert m.divisors == divs
+            assert m.rows == tuple(tuple(ramanujan_sum(di, n // dj) for dj in divs) for di in divs)
+
     def test_n_six_trace(self):
         m = build_matrix(6)
         assert sum(m.rows[i][i] for i in range(m.size)) == 0
