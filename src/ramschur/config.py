@@ -8,8 +8,8 @@ class Caps:
     """Default ceilings; every capped entry point takes an override.
 
     schur_degree bounds every step that reads Schur coefficients: full
-    Schur expansions and the scan stage of a positivity check; its
-    ell-basis stage runs at any degree.  Time
+    Schur expansions and the scan stage of a positivity check; its ell
+    and certificate stages are arithmetic and run at any degree.  Time
     and memory grow with the partition count (p(45) = 89134), and the
     memory held is the final expansions of p_d^(n/d) that were asked
     for, not a chain of every lower power.  maj_degree bounds major-index

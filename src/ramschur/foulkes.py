@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt
 from typing import Mapping, Optional
 
 from .arith import _prime_kron, divisors, factorize, ramanujan_sum
@@ -288,8 +288,14 @@ class PositivityVerdict:
     ell_nonneg reports whether every coefficient in the Foulkes basis is
     nonnegative (which forces Schur positivity); witness carries the
     first negative Schur coefficient in reverse lexicographic order when
-    the answer is negative.  route names the stage that decided: "ell"
-    (all ell-basis coefficients nonnegative) or "scan" (every other cell).
+    the answer is negative.  route names the stage that decided:
+
+    - "ell": every ell-basis coefficient is nonnegative;
+    - "certificate": the trivial multiplicity t lies outside [0, n], so
+      (n) or (n-1,1) is the witness, or the minimal-degree bound of
+      Rasala (J. Algebra 45, 1977) and the character bound of
+      Fomin-Lulov (1995) prove every coefficient nonnegative;
+    - "scan": every other cell, by the coefficients shape by shape.
     """
 
     n: int
@@ -300,16 +306,78 @@ class PositivityVerdict:
     route: str = ""
 
 
+# Fixed-point scale of the certificate's integer roots.
+_SCALE = 1 << 64
+
+
+def _ceil_root(x: int, d: int) -> int:
+    """Least r >= 0 with r**d >= x, for x >= 0 and d >= 1, by bisection."""
+    lo, hi = 0, 1 << -(-x.bit_length() // d)  # hi**d > x
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if mid**d >= x:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _rasala_degree(n: int) -> Optional[int]:
+    """Least f^lambda over the shapes of n other than the four corners.
+
+    It is n(n-3)/2, at (n-2,2), for n >= 9; the formula fails at n = 6
+    and n = 8, so None is returned below 9.
+    """
+    return n * (n - 3) // 2 if n >= 9 else None
+
+
+def _bounded_by_fomin_lulov(n: int, u: int) -> bool:
+    """True when every non-corner Schur coefficient of R(n, u) is >= 0.
+
+    For n >= 9 every shape other than (n), (n-1,1), (2,1^(n-2)) and
+    (1^n) has f^lambda >= f0 = n(n-3)/2 (Rasala, "On the minimal degrees
+    of characters of S_n", J. Algebra 45, 1977; see `_rasala_degree`).
+    For n = dk, |chi^lambda(d^k)| <= k! d^k (f^lambda / n!)^(1/d)
+    (Fomin-Lulov, 1995), a bound that falls relative to f^lambda as
+    f^lambda grows.  So the coefficient f^lambda + sum over d > 1 of
+    w_d chi^lambda(d^k), w_d = c_d(n/d)^u, is nonnegative once the
+    bounds at f0 sum to at most f0.  Each term is rounded up at scale
+    2^64, as the least r with r^d >= ceil((a * 2^64)^d * f0 / n!),
+    a = |w_d| k! d^k.
+    """
+    f0 = _rasala_degree(n)
+    if f0 is None:
+        return False
+    n_factorial = factorial(n)
+    total = 0
+    for d, w in _diagonal_weights(n, u).items():
+        if d == 1 or w == 0:
+            continue
+        k = n // d
+        a = abs(w) * factorial(k) * d**k * _SCALE
+        total += _ceil_root(-(-(a**d * f0) // n_factorial), d)
+    return total <= f0 * _SCALE
+
+
 def check_positivity(n: int, u: int, *, cap: int | None = None) -> PositivityVerdict:
-    """Decide whether R(n, u) is Schur positive, in two stages.
+    """Decide whether R(n, u) is Schur positive, in three stages.
 
     "ell": if all ell-basis coefficients are nonnegative the answer is
-    yes, whatever the degree.  "scan": past that, the Schur-degree cap
-    applies.  The d = 1 column, which holds every shape in reverse
-    lexicographic order, is walked up to the first negative coefficient
-    or to the end; each coefficient adds to f^lambda the rectangle
-    characters chi^lambda(d^(n/d)) of the d > 1 columns, weighted by
-    c_d(n/d)^u.  No expansion is built.
+    yes.  "certificate": the coefficients at (n) and (n-1,1) are t and
+    n - t, with t the trivial multiplicity, so t < 0 or t > n gives the
+    first negative shape in reverse lexicographic order; if instead t
+    and the sign multiplicity s both lie in [0, n], the four corner
+    coefficients t, n - t, n - s, s are nonnegative and the bounds of
+    Rasala (1977) and Fomin-Lulov (1995) may cover every other shape
+    (see `_bounded_by_fomin_lulov`).  Both stages are arithmetic and run at
+    any degree.  "scan": past them, the Schur-degree cap applies.  The
+    d = 1 column, which holds every shape in reverse lexicographic
+    order, is walked up to the first negative coefficient or to the end;
+    each coefficient adds to f^lambda the rectangle characters
+    chi^lambda(d^(n/d)) of the d > 1 columns, weighted by c_d(n/d)^u.
+    No expansion is built.  A reject at a sign corner goes to the scan,
+    because (2,1^(n-2)) and (1^n) come last and an earlier shape may be
+    negative too.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -317,6 +385,14 @@ def check_positivity(n: int, u: int, *, cap: int | None = None) -> PositivityVer
         raise ValueError(f"u must be >= 0, got {u}")
     if min(y for _, y in _ell_row(n, u)) >= 0:
         return PositivityVerdict(n, u, True, None, True, "ell")
+    reason = quick_reject(n, u)
+    if reason is None:
+        if _bounded_by_fomin_lulov(n, u):
+            return PositivityVerdict(n, u, True, None, False, "certificate")
+    elif reason.which == "trivial":
+        t = reason.value
+        witness = ((n,), t) if t < 0 else ((n - 1, 1), n - t)
+        return PositivityVerdict(n, u, False, witness, False, "certificate")
     _check_degree(n, cap)
     columns = [
         (w, _rectangle_terms(n, d).get) for d, w in _diagonal_weights(n, u).items() if d > 1 and w

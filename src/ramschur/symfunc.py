@@ -132,9 +132,7 @@ def conjugate(shape: Partition) -> Partition:
     return tuple(out)
 
 
-def hook_lengths(shape: Partition) -> tuple[int, ...]:
-    """Hook lengths of all cells, row by row."""
-    _require_partition(shape)
+def _legs(shape: Partition) -> list[int]:
     # legs[j] = (length of column j) - j, so the hook at (i, j) is
     # legs[j] + shape[i] - i - 1.
     legs = []
@@ -143,19 +141,36 @@ def hook_lengths(shape: Partition) -> tuple[int, ...]:
         while shape[rows - 1] <= j:
             rows -= 1
         legs.append(rows - j)
+    return legs
+
+
+def hook_lengths(shape: Partition) -> tuple[int, ...]:
+    """Hook lengths of all cells, row by row."""
+    _require_partition(shape)
+    legs = _legs(shape)
     return tuple(leg + row - i - 1 for i, row in enumerate(shape) for leg in legs[:row])
+
+
+def _syt(n_factorial: int, shape: Partition) -> int:
+    # n! over the hook product, multiplied in place one row at a time so
+    # that most partial products stay small.
+    legs = _legs(shape)
+    prod = 1
+    for i, row in enumerate(shape):
+        row_prod = 1
+        for leg in legs[:row]:
+            row_prod *= leg + row - i - 1
+        prod *= row_prod
+    count, rem = divmod(n_factorial, prod)
+    if rem:
+        raise InternalConsistencyError(f"hook product does not divide {sum(shape)}! for {shape}")
+    return count
 
 
 def syt_count(shape: Partition) -> int:
     """Number of standard Young tableaux, by the hook length formula."""
-    n = sum(shape)
-    prod = 1
-    for h in hook_lengths(shape):
-        prod *= h
-    count, rem = divmod(factorial(n), prod)
-    if rem:
-        raise InternalConsistencyError(f"hook product does not divide {n}! for {shape}")
-    return count
+    _require_partition(shape)
+    return _syt(factorial(sum(shape)), shape)
 
 
 @dataclass(eq=True)
@@ -190,7 +205,8 @@ def _rectangle_terms(n: int, d: int) -> Mapping[Partition, int]:
     if d < 1 or n < 0 or n % d != 0:
         raise ValueError(f"need d >= 1 and d | n, got n={n}, d={d}")
     if d == 1:
-        return {lam: syt_count(lam) for lam in partition_list(n)}
+        n_factorial = factorial(n)
+        return {lam: _syt(n_factorial, lam) for lam in partition_list(n)}
     k = n // d
     syt = [[(mu, syt_count(mu)) for mu in partition_list(m)] for m in range(k + 1)]
     runner_pairs = comb(d, 2)

@@ -246,6 +246,15 @@ class TestTable:
             ["1", "Y"],
         ]
 
+    def test_open_case_past_the_cap(self, capsys):
+        code, out, _ = run(capsys, "table", "--n", "1000", "--u-max", "2")
+        assert code == 0
+        assert [line.split() for line in out.strip().splitlines()[1:]] == [
+            ["0", "Y"],
+            ["1", "Y"],
+            ["2", "Y"],
+        ]
+
 
 class TestVerifyCommand:
     def test_arith_suite_passes(self, capsys):
@@ -347,7 +356,7 @@ GOLDEN_CASES = {
     "table-mismatch": ["table", "--n", "8,9", "--u-max", "1", "--expected"],
     "table-bad-n": ["table", "--n", "8,x"],
     "table-bad-u-max": ["table", "--n", "8", "--u-max", "-1"],
-    "table-cap": ["table", "--n", "48", "--u-max", "2"],
+    "table-cap": ["table", "--n", "50", "--u-max", "3"],
     "table-max-n": ["table", "--n", "8", "--u-max", "1", "--max-n", "50"],
     "verify-arith": ["verify", "--suite", "arith", "--max-n", "20"],
     "verify-matrix": ["verify", "--suite", "matrix", "--max-n", "20"],

@@ -1,9 +1,11 @@
-from math import gcd
+from collections import Counter
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramschur import foulkes
 from ramschur.arith import divisors, ramanujan_sum
 from ramschur.errors import CapExceeded
 from ramschur.foulkes import (
@@ -280,9 +282,10 @@ class TestPositivity:
         assert v.schur_positive and v.ell_nonneg and v.witness is None
 
     def test_cap_guards_the_expansion(self):
-        assert min(rnu_ell_expansion(48, 2).coeffs.values()) < 0
+        # neither ell nor the certificate decides (50, 3), so only the scan can
+        assert min(rnu_ell_expansion(50, 3).coeffs.values()) < 0
         with pytest.raises(CapExceeded):
-            check_positivity(48, 2)
+            check_positivity(50, 3)
 
     def test_witness_is_first_reverse_lex(self):
         v = check_positivity(9, 4)
@@ -308,7 +311,7 @@ class TestPositivity:
 
     @pytest.mark.parametrize(
         "n, u, route, positive",
-        [(6, 2, "ell", True), (8, 3, "scan", False), (24, 11, "scan", False),
+        [(6, 2, "ell", True), (8, 3, "certificate", False), (24, 11, "scan", False),
          (8, 2, "scan", True)],
     )
     def test_routes(self, n, u, route, positive):
@@ -316,6 +319,58 @@ class TestPositivity:
         v = check_positivity(n, u)
         assert (v.route, v.schur_positive) == (route, positive)
         assert v.witness == _first_negative(n, u)
+
+
+def _corners(n):
+    return {(n,), (n - 1, 1), (2,) + (1,) * (n - 2), (1,) * n}
+
+
+class TestCertificate:
+    def test_agrees_with_the_expansion(self):
+        routes = Counter()
+        for n in range(1, 31):
+            for u in range(9):
+                v = check_positivity(n, u)
+                routes[v.route, v.schur_positive] += 1
+                assert v.witness == _first_negative(n, u), (n, u)
+                assert v.schur_positive == (v.witness is None), (n, u)
+        assert routes["certificate", True] and routes["certificate", False]
+
+    def test_rasala_minimal_degree(self):
+        for n in range(4, 31):
+            least = min(syt_count(lam) for lam in partition_list(n) if lam not in _corners(n))
+            if n >= 9:
+                assert least == foulkes._rasala_degree(n) == n * (n - 3) // 2, n
+            else:
+                assert foulkes._rasala_degree(n) is None
+            if n == 8:
+                # (4, 4) has 14 tableaux, below 8 * 5 / 2 = 20
+                assert least == syt_count((4, 4)) == 14
+
+    def test_fomin_lulov_in_integers(self):
+        # |chi^lambda(d^k)|^d n! <= (k! d^k)^d f^lambda
+        for n in range(1, 25):
+            for d in divisors(n):
+                k = n // d
+                scale = (factorial(k) * d**k) ** d
+                for lam, chi in power_sum_rectangle_expansion(n, d).terms.items():
+                    assert abs(chi) ** d * factorial(n) <= scale * syt_count(lam), (n, d, lam)
+
+    @given(st.integers(min_value=0, max_value=2**300), st.integers(min_value=1, max_value=60))
+    @settings(max_examples=300, deadline=None)
+    def test_ceil_root_is_least(self, x, d):
+        r = foulkes._ceil_root(x, d)
+        assert r**d >= x
+        assert r == 0 or (r - 1) ** d < x
+
+    def test_ceil_root_examples(self):
+        assert [foulkes._ceil_root(x, 3) for x in (0, 1, 2, 8, 9, 27, 28)] == [0, 1, 2, 2, 3, 3, 4]
+
+    def test_r_n_2_is_decided_without_the_scan(self):
+        # the paper's open case u = 2, from n = 10 up
+        for n in range(10, 501):
+            v = check_positivity(n, 2)
+            assert v.schur_positive and v.route in ("ell", "certificate"), n
 
 
 class TestQuickReject:
