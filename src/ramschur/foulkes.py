@@ -15,7 +15,8 @@ In the ell basis, R(n, u) = sum over k | n of Y_u[n, n/k] * ell(n, k)
 where Y_u[n, k] = sum over d | n of c_k(n/d) * c_d(n/d)^u.  The whole row
 is built one prime at a time: with B_p[i][j] = c_{p^i}(p^(a-j)) for
 p^a || n, Y_u[n, k] is the product over p of the v_p(k)-th row sum of
-B_p * diag(B_p)^u, so n is the only integer factored.
+B_p * diag(B_p)^u, so n is the only integer factored.  The corner
+multiplicities, at s_(n) and s_(1^n), are read off that row (`_corners`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, gcd, isqrt
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .arith import _prime_kron, divisors, factorize, ramanujan_sum
 from .config import DEFAULT_CAPS
@@ -72,18 +73,24 @@ def _check_degree(n: int, cap: int | None) -> None:
         raise CapExceeded(f"n = {n} exceeds the expansion cap {limit}")
 
 
+def _coefficients(n: int, weights: Mapping[int, int]) -> Iterator[tuple[Partition, int]]:
+    """(lambda, sum over d | n of weights[d] * chi^lambda(d^(n/d))) per shape,
+    in the reverse lexicographic order of the d = 1 column, whose weight
+    must be 1, as c_1(m) is.
+    """
+    columns = [(w, _rectangle_terms(n, d).get) for d, w in weights.items() if d > 1 and w]
+    for lam, f in _rectangle_terms(n, 1).items():
+        c = f
+        for w, get in columns:
+            c += w * get(lam, 0)
+        yield lam, c
+
+
 @lru_cache(maxsize=None)
 def _ell_terms(n: int, m: int) -> Mapping[Partition, int]:
     # m = gcd(n, r) is the canonical label; read-only result.
-    acc: dict = {}
-    for d in divisors(n):
-        w = ramanujan_sum(d, m)
-        if w == 0:
-            continue
-        for lam, chi in _rectangle_terms(n, d).items():
-            acc[lam] = acc.get(lam, 0) + w * chi
     out = {}
-    for lam, v in acc.items():
+    for lam, v in _coefficients(n, {d: ramanujan_sum(d, m) for d in divisors(n)}):
         if v == 0:
             continue
         q, rem = divmod(v, n)
@@ -255,30 +262,29 @@ def rnu_schur_expansion(n: int, u: int, *, cap: int | None = None) -> SchurExpan
     _check_degree(n, cap)
     if u < 0:
         raise ValueError(f"u must be >= 0, got {u}")
-    acc: dict = {}
-    for d, w in _diagonal_weights(n, u).items():
-        if w == 0:
-            continue
-        for lam, chi in _rectangle_terms(n, d).items():
-            acc[lam] = acc.get(lam, 0) + w * chi
-    return SchurExpansion(n, acc)
+    return SchurExpansion(n, dict(_coefficients(n, _diagonal_weights(n, u))))
+
+
+def _corners(n: int, u: int, row: Optional[list[tuple[int, int]]] = None) -> tuple[int, int]:
+    """(t, s), the coefficients of s_(n) and s_(1^n) in R(n, u), read from
+    the ell row (`row`, else `_ell_row(n, u)`).  (n) has one SYT, of major
+    index 0, so t = Y_u[n, 1]; (1^n) has one, of major index n(n-1)/2, so
+    s = t for odd n and s = Y_u[n, 2] for even n.
+    """
+    if n < 1 or u < 0:
+        raise ValueError(f"need n >= 1 and u >= 0, got n={n}, u={u}")
+    y = dict(_ell_row(n, u) if row is None else row)
+    return y[n], y[n if n % 2 else n // 2]
 
 
 def trivial_multiplicity(n: int, u: int) -> int:
     """Coefficient of s_(n) in R(n, u): sum of c_d(n/d)^u over d | n."""
-    if n < 1 or u < 0:
-        raise ValueError(f"need n >= 1 and u >= 0, got n={n}, u={u}")
-    return sum(w for w in _diagonal_weights(n, u).values())
+    return _corners(n, u)[0]
 
 
 def sign_multiplicity(n: int, u: int) -> int:
     """Coefficient of s_(1^n) in R(n, u): sum of c_d(n/d)^u * (-1)^(n - n/d)."""
-    if n < 1 or u < 0:
-        raise ValueError(f"need n >= 1 and u >= 0, got n={n}, u={u}")
-    total = 0
-    for d, w in _diagonal_weights(n, u).items():
-        total += w if (n - n // d) % 2 == 0 else -w
-    return total
+    return _corners(n, u)[1]
 
 
 @dataclass(frozen=True)
@@ -291,11 +297,13 @@ class PositivityVerdict:
     the answer is negative.  route names the stage that decided:
 
     - "ell": every ell-basis coefficient is nonnegative;
-    - "certificate": the trivial multiplicity t lies outside [0, n], so
-      (n) or (n-1,1) is the witness, or the minimal-degree bound of
-      Rasala (J. Algebra 45, 1977) and the character bound of
+    - "certificate": the corner multiplicities t and s, read from the
+      ell row since (n) and (1^n) have one SYT each, decide: t outside
+      [0, n] makes (n) or (n-1,1) the witness, or else, with s in
+      [0, n], the bounds of Rasala (J. Algebra 45, 1977) and
       Fomin-Lulov (1995) prove every coefficient nonnegative;
-    - "scan": every other cell, by the coefficients shape by shape.
+    - "scan": every other cell, by the first negative coefficient of
+      `_coefficients`, in reverse lexicographic order.
     """
 
     n: int
@@ -331,7 +339,7 @@ def _rasala_degree(n: int) -> Optional[int]:
     return n * (n - 3) // 2 if n >= 9 else None
 
 
-def _bounded_by_fomin_lulov(n: int, u: int) -> bool:
+def _bounded_by_fomin_lulov(n: int, weights: Mapping[int, int]) -> bool:
     """True when every non-corner Schur coefficient of R(n, u) is >= 0.
 
     For n >= 9 every shape other than (n), (n-1,1), (2,1^(n-2)) and
@@ -340,9 +348,9 @@ def _bounded_by_fomin_lulov(n: int, u: int) -> bool:
     For n = dk, |chi^lambda(d^k)| <= k! d^k (f^lambda / n!)^(1/d)
     (Fomin-Lulov, 1995), a bound that falls relative to f^lambda as
     f^lambda grows.  So the coefficient f^lambda + sum over d > 1 of
-    w_d chi^lambda(d^k), w_d = c_d(n/d)^u, is nonnegative once the
-    bounds at f0 sum to at most f0.  Each term is rounded up at scale
-    2^64, as the least r with r^d >= ceil((a * 2^64)^d * f0 / n!),
+    w_d chi^lambda(d^k), w_d = weights[d] = c_d(n/d)^u, is nonnegative
+    once the bounds at f0 sum to at most f0.  Each term is rounded up at
+    scale 2^64, as the least r with r^d >= ceil((a * 2^64)^d * f0 / n!),
     a = |w_d| k! d^k.
     """
     f0 = _rasala_degree(n)
@@ -350,7 +358,7 @@ def _bounded_by_fomin_lulov(n: int, u: int) -> bool:
         return False
     n_factorial = factorial(n)
     total = 0
-    for d, w in _diagonal_weights(n, u).items():
+    for d, w in weights.items():
         if d == 1 or w == 0:
             continue
         k = n // d
@@ -363,49 +371,38 @@ def check_positivity(n: int, u: int, *, cap: int | None = None) -> PositivityVer
     """Decide whether R(n, u) is Schur positive, in three stages.
 
     "ell": if all ell-basis coefficients are nonnegative the answer is
-    yes.  "certificate": the coefficients at (n) and (n-1,1) are t and
-    n - t, with t the trivial multiplicity, so t < 0 or t > n gives the
-    first negative shape in reverse lexicographic order; if instead t
-    and the sign multiplicity s both lie in [0, n], the four corner
-    coefficients t, n - t, n - s, s are nonnegative and the bounds of
-    Rasala (1977) and Fomin-Lulov (1995) may cover every other shape
-    (see `_bounded_by_fomin_lulov`).  Both stages are arithmetic and run at
-    any degree.  "scan": past them, the Schur-degree cap applies.  The
-    d = 1 column, which holds every shape in reverse lexicographic
-    order, is walked up to the first negative coefficient or to the end;
-    each coefficient adds to f^lambda the rectangle characters
-    chi^lambda(d^(n/d)) of the d > 1 columns, weighted by c_d(n/d)^u.
-    No expansion is built.  A reject at a sign corner goes to the scan,
-    because (2,1^(n-2)) and (1^n) come last and an earlier shape may be
-    negative too.
+    yes.  "certificate": the trivial and sign multiplicities t and s are
+    read from that same ell row, since (n) and (1^n) have one SYT each
+    (see `_corners`).  The coefficients at (n) and (n-1,1) are t and
+    n - t, so t < 0 or t > n gives the first negative shape in reverse
+    lexicographic order; if instead t and s both lie in [0, n], the four
+    corner coefficients t, n - t, n - s, s are nonnegative and the
+    bounds of Rasala (1977) and Fomin-Lulov (1995) may cover every other
+    shape (see `_bounded_by_fomin_lulov`).  Both stages are arithmetic
+    and run at any degree.  "scan": past them, the Schur-degree cap
+    applies, and the witness is the first negative coefficient that
+    `_coefficients` yields, in reverse lexicographic order; no expansion
+    is built.  A reject at a sign corner goes to the scan, because
+    (2,1^(n-2)) and (1^n) come last and an earlier shape may be negative
+    too.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if u < 0:
         raise ValueError(f"u must be >= 0, got {u}")
-    if min(y for _, y in _ell_row(n, u)) >= 0:
+    row = _ell_row(n, u)
+    if min(y for _, y in row) >= 0:
         return PositivityVerdict(n, u, True, None, True, "ell")
-    reason = quick_reject(n, u)
-    if reason is None:
-        if _bounded_by_fomin_lulov(n, u):
-            return PositivityVerdict(n, u, True, None, False, "certificate")
-    elif reason.which == "trivial":
-        t = reason.value
+    t, s = _corners(n, u, row)
+    if t < 0 or t > n:
         witness = ((n,), t) if t < 0 else ((n - 1, 1), n - t)
         return PositivityVerdict(n, u, False, witness, False, "certificate")
+    weights = _diagonal_weights(n, u)
+    if 0 <= s <= n and _bounded_by_fomin_lulov(n, weights):
+        return PositivityVerdict(n, u, True, None, False, "certificate")
     _check_degree(n, cap)
-    columns = [
-        (w, _rectangle_terms(n, d).get) for d, w in _diagonal_weights(n, u).items() if d > 1 and w
-    ]
-    # The d = 1 column lists every shape in reverse lexicographic order,
-    # with weight c_1(n)^u = 1.
-    for lam, f in _rectangle_terms(n, 1).items():
-        c = f
-        for w, get in columns:
-            c += w * get(lam, 0)
-        if c < 0:
-            return PositivityVerdict(n, u, False, (lam, c), False, "scan")
-    return PositivityVerdict(n, u, True, None, False, "scan")
+    witness = next(((lam, c) for lam, c in _coefficients(n, weights) if c < 0), None)
+    return PositivityVerdict(n, u, witness is None, witness, False, "scan")
 
 
 @dataclass(frozen=True)
@@ -432,10 +429,9 @@ def quick_reject(n: int, u: int) -> Optional[RejectionReason]:
     are n - t and n - s).  Returns a reason when one fails, else None.
     A None answer decides nothing.
     """
-    t = trivial_multiplicity(n, u)
+    t, s = _corners(n, u)
     if t < 0 or t > n:
         return RejectionReason(n, u, "trivial", t)
-    s = sign_multiplicity(n, u)
     if s < 0 or s > n:
         return RejectionReason(n, u, "sign", s)
     return None
@@ -492,8 +488,7 @@ class MultiplicityReport:
 def multiplicity_report(n: int, u: int) -> MultiplicityReport:
     if n < 2:
         raise ValueError(f"multiplicity_report requires n >= 2, got {n}")
-    t = trivial_multiplicity(n, u)
-    s = sign_multiplicity(n, u)
+    t, s = _corners(n, u)
     return MultiplicityReport(
         n=n,
         u=u,

@@ -2,7 +2,7 @@
 
 Each check sweeps a documented default range, overridable through
 max_n; all return CheckResult records with a counterexample string on
-failure.  The CLI `verify` subcommand and the scripts drive these.
+failure.  The CLI `verify` subcommand drives these.
 """
 
 from __future__ import annotations
@@ -358,8 +358,9 @@ def check_quick_reject_consistency(max_n=None):
     limit = _bound(max_n, 20)
     for n in range(1, limit + 1):
         for u in range(0, 9):
-            reason = quick_reject(n, u)
-            if reason is not None and check_positivity(n, u, cap=max(limit, 45)).schur_positive:
+            if quick_reject(n, u) is None:
+                continue
+            if min(rnu_schur_expansion(n, u, cap=max(limit, 45)).terms.values()) >= 0:
                 return _fail(name, f"quick_reject contradicts positivity at n={n}, u={u}")
     return _ok(name, f"n <= {limit}, u <= 8")
 

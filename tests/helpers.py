@@ -1,7 +1,8 @@
 """Independent oracles for the test-suite.
 
 These deliberately avoid the library's algorithms: Ramanujan sums are
-recomputed as floating-point sums over primitive roots of unity, SYT
+recomputed as floating-point sums over primitive roots of unity or, in
+integers, by Kluyver's formula, corner multiplicities as divisor sums, SYT
 counts through the factorial-quotient product formula (not hooks),
 border strips by direct skew-diagram geometry, rectangle characters by
 iterated Murnaghan-Nakayama border-strip addition (not d-quotients),
@@ -189,3 +190,38 @@ def enumerate_syt_maj(shape: tuple[int, ...]) -> list[int]:
 
     rec(1)
     return out
+
+
+def _moebius_trial(n: int) -> int:
+    """Moebius function by trial division."""
+    sign = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def kluyver_ramanujan(q: int, r: int) -> int:
+    """c_q(r) = sum over d | gcd(q, r) of mu(q/d) * d (Kluyver), exactly."""
+    g = gcd(q, r)
+    return sum(_moebius_trial(q // d) * d for d in range(1, g + 1) if g % d == 0)
+
+
+def corner_sums(n: int, u: int) -> tuple[int, int]:
+    """(t, s): the coefficients of s_(n) and s_(1^n) in R(n, u), as divisor sums.
+
+    t = sum over d | n of c_d(n/d)^u, and s weights each term by
+    (-1)^(n - n/d), the sign of the cycle type d^(n/d) at (1^n).
+    """
+    t = s = 0
+    for d in range(1, n + 1):
+        if n % d == 0:
+            w = kluyver_ramanujan(d, n // d) ** u
+            t += w
+            s += -w if (n - n // d) % 2 else w
+    return t, s

@@ -9,6 +9,7 @@ from ramschur import foulkes
 from ramschur.arith import divisors, ramanujan_sum
 from ramschur.errors import CapExceeded
 from ramschur.foulkes import (
+    RejectionReason,
     check_positivity,
     foulkes_schur_multiplicities,
     multiplicity_report,
@@ -31,6 +32,8 @@ from ramschur.symfunc import (
     power_sum_rectangle_expansion,
     syt_count,
 )
+
+from helpers import corner_sums
 
 
 class TestFoulkesMultiplicities:
@@ -373,6 +376,31 @@ class TestCertificate:
             assert v.schur_positive and v.route in ("ell", "certificate"), n
 
 
+class TestCorners:
+    def test_agree_with_the_divisor_sums(self):
+        for n in range(1, 401):
+            for u in range(9):
+                t, s = corner_sums(n, u)
+                assert (trivial_multiplicity(n, u), sign_multiplicity(n, u)) == (t, s), (n, u)
+                if t < 0 or t > n:
+                    expected = RejectionReason(n, u, "trivial", t)
+                elif s < 0 or s > n:
+                    expected = RejectionReason(n, u, "sign", s)
+                else:
+                    expected = None
+                assert quick_reject(n, u) == expected, (n, u)
+                if n >= 2:
+                    report = multiplicity_report(n, u)
+                    assert (report.trivial, report.sign) == (t, s), (n, u)
+                    assert (report.hook_n_minus_1_1, report.hook_2_ones) == (n - t, n - s), (n, u)
+
+    @pytest.mark.parametrize("corner", [trivial_multiplicity, sign_multiplicity, quick_reject])
+    @pytest.mark.parametrize("n, u", [(0, 2), (6, -1)])
+    def test_reject_bad_input(self, corner, n, u):
+        with pytest.raises(ValueError):
+            corner(n, u)
+
+
 class TestQuickReject:
     def test_examples(self):
         reason = quick_reject(8, 3)
@@ -384,10 +412,11 @@ class TestQuickReject:
         assert quick_reject(6, 2) is None
 
     def test_sound_on_small_range(self):
+        # against the expansion: check_positivity reads the same corners
         for n in range(1, 19):
             for u in range(0, 7):
                 if quick_reject(n, u) is not None:
-                    assert not check_positivity(n, u).schur_positive
+                    assert min(rnu_schur_expansion(n, u).terms.values()) < 0, (n, u)
 
     def test_inconclusive_cells_exist(self):
         # None never certifies positivity
