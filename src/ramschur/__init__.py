@@ -3,133 +3,25 @@ characters, and Schur expansions of the weighted power-sum family
 
     R(n, u) = sum over d | n of c_d(n/d)^u * p_d^(n/d).
 
-All arithmetic is exact (Python ints); see the README for the CLI.
+All arithmetic is exact (Python ints); see the README for the CLI.  The
+public names are those of each module's __all__.
 """
 
-from .arith import (
-    DiagonalClassification,
-    Factorization,
-    classify_diagonal,
-    diagonal_bound_attained,
-    divisors,
-    euler_phi,
-    factorize,
-    gcd,
-    is_perfect_square,
-    is_prime,
-    moebius,
-    ramanujan_sum,
-    ramanujan_sum_prime_power,
-    tau,
-)
-from .config import DEFAULT_CAPS, Caps
-from .errors import CapExceeded, InternalConsistencyError
-from .foulkes import (
-    EllExpansion,
-    MultiplicityReport,
-    PositivityVerdict,
-    RejectionReason,
-    ScalarDivisibility,
-    StructuralY,
-    SwansonViolation,
-    check_positivity,
-    foulkes_schur_multiplicities,
-    multiplicity_report,
-    quick_reject,
-    rnu_ell_expansion,
-    rnu_schur_expansion,
-    scalar_divisibility_check,
-    sign_multiplicity,
-    swanson_vanishing_check,
-    trivial_multiplicity,
-    y_coefficient,
-    y_coefficient_structural,
-    y_coefficient_structural_detail,
-)
-from .ramat import (
-    RamanujanMatrix,
-    build_matrix,
-    key_moebius_identity_check,
-    moebius_weighted_row_sum,
-    row_sum_direct,
-    row_sum_fgk,
-    row_sums,
-    signed_trace,
-    trace,
-)
-from .symfunc import (
-    MajDistribution,
-    Partition,
-    SchurExpansion,
-    conjugate,
-    hook_lengths,
-    is_partition,
-    maj_distribution,
-    partition_list,
-    partitions_of,
-    power_sum_rectangle_expansion,
-    syt_count,
-)
+from . import arith, config, errors, foulkes, ramat, symfunc
+from .arith import *
+from .config import *
+from .errors import *
+from .foulkes import *
+from .ramat import *
+from .symfunc import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Caps",
-    "DEFAULT_CAPS",
-    "CapExceeded",
-    "InternalConsistencyError",
-    "Factorization",
-    "factorize",
-    "divisors",
-    "euler_phi",
-    "moebius",
-    "tau",
-    "gcd",
-    "is_prime",
-    "is_perfect_square",
-    "ramanujan_sum",
-    "ramanujan_sum_prime_power",
-    "DiagonalClassification",
-    "classify_diagonal",
-    "diagonal_bound_attained",
-    "RamanujanMatrix",
-    "build_matrix",
-    "trace",
-    "signed_trace",
-    "row_sum_direct",
-    "row_sum_fgk",
-    "row_sums",
-    "moebius_weighted_row_sum",
-    "key_moebius_identity_check",
-    "Partition",
-    "is_partition",
-    "partitions_of",
-    "partition_list",
-    "conjugate",
-    "hook_lengths",
-    "syt_count",
-    "SchurExpansion",
-    "power_sum_rectangle_expansion",
-    "MajDistribution",
-    "maj_distribution",
-    "foulkes_schur_multiplicities",
-    "y_coefficient",
-    "StructuralY",
-    "y_coefficient_structural",
-    "y_coefficient_structural_detail",
-    "EllExpansion",
-    "rnu_ell_expansion",
-    "rnu_schur_expansion",
-    "trivial_multiplicity",
-    "sign_multiplicity",
-    "PositivityVerdict",
-    "check_positivity",
-    "RejectionReason",
-    "quick_reject",
-    "ScalarDivisibility",
-    "scalar_divisibility_check",
-    "MultiplicityReport",
-    "multiplicity_report",
-    "SwansonViolation",
-    "swanson_vanishing_check",
+    *arith.__all__,
+    *config.__all__,
+    *errors.__all__,
+    *ramat.__all__,
+    *symfunc.__all__,
+    *foulkes.__all__,
 ]

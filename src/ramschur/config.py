@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass
 
+__all__ = ["Caps", "DEFAULT_CAPS"]
+
 
 @dataclass(frozen=True)
 class Caps:

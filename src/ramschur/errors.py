@@ -1,5 +1,7 @@
 """Exceptions shared across the package."""
 
+__all__ = ["CapExceeded", "InternalConsistencyError"]
+
 
 class CapExceeded(RuntimeError):
     """A computation was refused because it exceeds a resource cap."""

@@ -61,14 +61,16 @@ __all__ = [
 ]
 
 
-def _schur_limit(cap: int | None) -> int:
-    return DEFAULT_CAPS.schur_degree if cap is None else cap
+def _require(n: int, u: int = 0) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if u < 0:
+        raise ValueError(f"u must be >= 0, got {u}")
 
 
 def _check_degree(n: int, cap: int | None) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    limit = _schur_limit(cap)
+    _require(n)
+    limit = DEFAULT_CAPS.schur_degree if cap is None else cap
     if n > limit:
         raise CapExceeded(f"n = {n} exceeds the expansion cap {limit}")
 
@@ -246,10 +248,7 @@ def _ell_row(n: int, u: int) -> list[tuple[int, int]]:
 
 def rnu_ell_expansion(n: int, u: int) -> EllExpansion:
     """R(n, u) in the Foulkes basis: coefficient of ell(n, k) is Y_u[n, n/k]."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if u < 0:
-        raise ValueError(f"u must be >= 0, got {u}")
+    _require(n, u)
     return EllExpansion(n, {k: y for k, y in _ell_row(n, u) if y})
 
 
@@ -260,8 +259,7 @@ def _diagonal_weights(n: int, u: int) -> dict[int, int]:
 def rnu_schur_expansion(n: int, u: int, *, cap: int | None = None) -> SchurExpansion:
     """Schur expansion of R(n, u), exactly."""
     _check_degree(n, cap)
-    if u < 0:
-        raise ValueError(f"u must be >= 0, got {u}")
+    _require(n, u)
     return SchurExpansion(n, dict(_coefficients(n, _diagonal_weights(n, u))))
 
 
@@ -271,8 +269,7 @@ def _corners(n: int, u: int, row: Optional[list[tuple[int, int]]] = None) -> tup
     index 0, so t = Y_u[n, 1]; (1^n) has one, of major index n(n-1)/2, so
     s = t for odd n and s = Y_u[n, 2] for even n.
     """
-    if n < 1 or u < 0:
-        raise ValueError(f"need n >= 1 and u >= 0, got n={n}, u={u}")
+    _require(n, u)
     y = dict(_ell_row(n, u) if row is None else row)
     return y[n], y[n if n % 2 else n // 2]
 
@@ -386,10 +383,7 @@ def check_positivity(n: int, u: int, *, cap: int | None = None) -> PositivityVer
     (2,1^(n-2)) and (1^n) come last and an earlier shape may be negative
     too.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if u < 0:
-        raise ValueError(f"u must be >= 0, got {u}")
+    _require(n, u)
     row = _ell_row(n, u)
     if min(y for _, y in row) >= 0:
         return PositivityVerdict(n, u, True, None, True, "ell")

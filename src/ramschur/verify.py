@@ -2,7 +2,9 @@
 
 Each check sweeps a documented default range, overridable through
 max_n; all return CheckResult records with a counterexample string on
-failure.  The CLI `verify` subcommand drives these.
+failure.  `SUITES` is the one registry of suites and their checks, in
+the order `run_suite("all")` runs them.  The CLI `verify` subcommand
+drives these.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .arith import (
     moebius,
     ramanujan_sum,
 )
+from .config import DEFAULT_CAPS
 from .foulkes import (
     _ell_terms,
     check_positivity,
@@ -228,7 +231,7 @@ def check_basis_round_trip(max_n=None):
     for n in range(1, limit + 1):
         for u in range(0, 5):
             ell = rnu_ell_expansion(n, u)
-            schur = rnu_schur_expansion(n, u, cap=max(limit, 45))
+            schur = rnu_schur_expansion(n, u, cap=max(limit, DEFAULT_CAPS.schur_degree))
             combined: dict = {}
             for k, w in ell.coeffs.items():
                 for lam, mult in _ell_terms(n, gcd(n, k)).items():
@@ -293,7 +296,7 @@ def check_conjugation_symmetry(max_n=None):
     name = "conjugation-symmetry"
     limit = _bound(max_n, 15)
     for n in range(1, limit + 1, 2):
-        expansion = rnu_schur_expansion(n, 1, cap=max(limit, 45))
+        expansion = rnu_schur_expansion(n, 1, cap=max(limit, DEFAULT_CAPS.schur_degree))
         for lam, c in expansion.terms.items():
             if expansion.terms.get(conjugate(lam), 0) != c:
                 return _fail(name, f"conjugate coefficient differs at n={n}, shape={lam}")
@@ -304,7 +307,7 @@ def check_all_irreducibles_u0(max_n=None):
     name = "all-irreducibles-u0"
     limit = _bound(max_n, 14)
     for n in range(1, limit + 1):
-        expansion = rnu_schur_expansion(n, 0, cap=max(limit, 45))
+        expansion = rnu_schur_expansion(n, 0, cap=max(limit, DEFAULT_CAPS.schur_degree))
         missing_sign = n % 4 == 2
         for lam in partition_list(n):
             c = expansion.terms.get(lam, 0)
@@ -321,7 +324,7 @@ def check_trivial_multiplicity(max_n=None):
     limit = _bound(max_n, 20)
     for n in range(1, limit + 1):
         for u in range(0, 7):
-            expansion = rnu_schur_expansion(n, u, cap=max(limit, 45))
+            expansion = rnu_schur_expansion(n, u, cap=max(limit, DEFAULT_CAPS.schur_degree))
             if expansion.terms.get((n,), 0) != trivial_multiplicity(n, u):
                 return _fail(name, f"trivial coefficient mismatch at n={n}, u={u}")
             if expansion.terms.get((1,) * n, 0) != sign_multiplicity(n, u):
@@ -333,7 +336,10 @@ def check_dual_foulkes(max_n=None):
     name = "dual-foulkes-maj"
     limit = _bound(max_n, 12)
     for n in range(1, limit + 1):
-        maj_by_shape = {lam: maj_distribution(lam, cap=max(limit, 14)) for lam in partition_list(n)}
+        maj_by_shape = {
+            lam: maj_distribution(lam, cap=max(limit, DEFAULT_CAPS.maj_degree))
+            for lam in partition_list(n)
+        }
         for r in range(1, n + 1):
             mults = _ell_terms(n, gcd(n, r))
             for lam in partition_list(n):
@@ -346,7 +352,7 @@ def check_swanson(max_n=None):
     name = "swanson-vanishing"
     limit = _bound(max_n, 12)
     for n in range(2, limit + 1):
-        violations = swanson_vanishing_check(n, cap=max(limit, 14))
+        violations = swanson_vanishing_check(n, cap=max(limit, DEFAULT_CAPS.maj_degree))
         if violations:
             v = violations[0]
             return _fail(name, f"violation at n={n}: shape={v.shape}, r={v.r}")
@@ -360,7 +366,8 @@ def check_quick_reject_consistency(max_n=None):
         for u in range(0, 9):
             if quick_reject(n, u) is None:
                 continue
-            if min(rnu_schur_expansion(n, u, cap=max(limit, 45)).terms.values()) >= 0:
+            expansion = rnu_schur_expansion(n, u, cap=max(limit, DEFAULT_CAPS.schur_degree))
+            if min(expansion.terms.values()) >= 0:
                 return _fail(name, f"quick_reject contradicts positivity at n={n}, u={u}")
     return _ok(name, f"n <= {limit}, u <= 8")
 
@@ -417,57 +424,49 @@ def check_positivity_table(max_n=None):
     return _ok(name, f"{len(ns)} columns, u <= {reference_table_u_max()}")
 
 
-_ARITH = [
-    check_ramanujan_brute_force,
-    check_ramanujan_multiplicativity,
-    check_ramanujan_special_cases,
-    check_ramanujan_bound,
-]
-
-_MATRIX = [
-    check_matrix_square,
-    check_matrix_entry_sum,
-    check_trace_formula,
-    check_signed_trace_formula,
-    check_row_sum_product_formula,
-    check_row_sum_vanishing,
-    check_moebius_row_identity,
-]
-
-_FOULKES = [
-    check_basis_round_trip,
-    check_y0_row_sums,
-    check_ell_u0_coefficient_sum,
-    check_y_nonneg_u01,
-    check_y_structural_vs_direct,
-    check_conjugation_symmetry,
-    check_all_irreducibles_u0,
-    check_trivial_multiplicity,
-    check_dual_foulkes,
-    check_swanson,
-    check_quick_reject_consistency,
-]
-
-_REFERENCE = [
-    check_phi_expansions,
-    check_ell_examples,
-    check_positivity_table,
-]
-
 SUITES: dict[str, list[Callable]] = {
-    "arith": _ARITH,
-    "matrix": _MATRIX,
-    "foulkes": _FOULKES,
-    "paper-values": _REFERENCE,
+    "arith": [
+        check_ramanujan_brute_force,
+        check_ramanujan_multiplicativity,
+        check_ramanujan_special_cases,
+        check_ramanujan_bound,
+    ],
+    "matrix": [
+        check_matrix_square,
+        check_matrix_entry_sum,
+        check_trace_formula,
+        check_signed_trace_formula,
+        check_row_sum_product_formula,
+        check_row_sum_vanishing,
+        check_moebius_row_identity,
+    ],
+    "foulkes": [
+        check_basis_round_trip,
+        check_y0_row_sums,
+        check_ell_u0_coefficient_sum,
+        check_y_nonneg_u01,
+        check_y_structural_vs_direct,
+        check_conjugation_symmetry,
+        check_all_irreducibles_u0,
+        check_trivial_multiplicity,
+        check_dual_foulkes,
+        check_swanson,
+        check_quick_reject_consistency,
+    ],
+    "paper-values": [
+        check_phi_expansions,
+        check_ell_examples,
+        check_positivity_table,
+    ],
 }
 
-SUITE_NAMES = ("all", "arith", "matrix", "foulkes", "paper-values")
+SUITE_NAMES = ("all", *SUITES)
 
 
 def run_suite(suite: str, max_n: Optional[int] = None) -> list[CheckResult]:
     """Run one named suite (or all of them) and return its results."""
     if suite == "all":
-        checks = _ARITH + _MATRIX + _FOULKES + _REFERENCE
+        checks = [check for suite_checks in SUITES.values() for check in suite_checks]
     else:
         try:
             checks = SUITES[suite]
