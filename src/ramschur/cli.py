@@ -38,12 +38,12 @@ from .verify import SUITE_NAMES, run_suite
 __all__ = ["main"]
 
 
-def _effective_cap(max_n: Optional[int], default: int, what: str) -> int:
+def _schur_cap(max_n: Optional[int]) -> int:
     if max_n is None:
-        return default
-    if max_n > default:
+        return DEFAULT_CAPS.schur_degree
+    if max_n > DEFAULT_CAPS.schur_degree:
         print(
-            f"warning: raising the {what} cap to {max_n}; "
+            f"warning: raising the expansion degree cap to {max_n}; "
             "memory grows quickly with the partition count",
             file=sys.stderr,
         )
@@ -137,7 +137,7 @@ def cmd_ram(args) -> int:
 
 
 def cmd_foulkes(args) -> int:
-    cap = _effective_cap(args.max_n, DEFAULT_CAPS.schur_degree, "expansion degree")
+    cap = _schur_cap(args.max_n)
     expansion = foulkes_schur_multiplicities(args.n, args.r, cap=cap)
     head = {"kind": "schur-expansion", "n": args.n, "r": args.r}
     _write(args.format, *_schur_output(head, expansion))
@@ -155,7 +155,7 @@ def cmd_rnu(args) -> int:
             lambda: _signed_sum(reversed(items), lambda k: f"l[{k}]"),
         )
         return 0
-    cap = _effective_cap(args.max_n, DEFAULT_CAPS.schur_degree, "expansion degree")
+    cap = _schur_cap(args.max_n)
     if args.n > cap:
         raise CapExceeded(f"n = {args.n} exceeds the cap {cap}; raise it with --max-n")
     _write(args.format, *_schur_output(head, rnu_schur_expansion(args.n, args.u, cap=cap)))
@@ -177,7 +177,7 @@ def cmd_table(args) -> int:
     u_max = args.u_max
     if u_max < 0:
         raise ValueError(f"--u-max must be >= 0, got {u_max}")
-    cap = _effective_cap(args.max_n, DEFAULT_CAPS.schur_degree, "expansion degree")
+    cap = _schur_cap(args.max_n)
     columns = [
         ["Y" if check_positivity(n, u, cap=cap).schur_positive else "N" for u in range(u_max + 1)]
         for n in ns

@@ -29,7 +29,7 @@ from typing import Iterator, Mapping, Optional
 from .arith import _prime_kron, divisors, factorize, ramanujan_sum
 from .config import DEFAULT_CAPS
 from .errors import CapExceeded, InternalConsistencyError
-from .ramat import row_sum_fgk
+from .ramat import _row_sum_factor
 from .symfunc import (
     Partition,
     SchurExpansion,
@@ -66,6 +66,12 @@ def _require(n: int, u: int = 0) -> None:
         raise ValueError(f"n must be >= 1, got {n}")
     if u < 0:
         raise ValueError(f"u must be >= 0, got {u}")
+
+
+def _require_divisor(n: int, k: int, u: int) -> None:
+    if n < 1 or k < 1 or n % k != 0:
+        raise ValueError(f"need k | n, got n={n}, k={k}")
+    _require(n, u)
 
 
 def _check_degree(n: int, cap: int | None) -> None:
@@ -114,7 +120,7 @@ def foulkes_schur_multiplicities(n: int, r: int, *, cap: int | None = None) -> S
     _check_degree(n, cap)
     if r < 1 or r > n:
         raise ValueError(f"label r must satisfy 1 <= r <= n, got r={r}")
-    return SchurExpansion(n, dict(_ell_terms(n, gcd(n, r))))
+    return SchurExpansion(n, _ell_terms(n, gcd(n, r)))
 
 
 def y_coefficient(n: int, k: int, u: int) -> int:
@@ -125,10 +131,7 @@ def y_coefficient(n: int, k: int, u: int) -> int:
     tests compare with; `rnu_ell_expansion` and `check_positivity` build
     the whole row per prime instead.
     """
-    if n < 1 or k < 1 or n % k != 0:
-        raise ValueError(f"need k | n, got n={n}, k={k}")
-    if u < 0:
-        raise ValueError(f"u must be >= 0, got {u}")
+    _require_divisor(n, k, u)
     total = 0
     for d in divisors(n):
         q = n // d
@@ -138,10 +141,10 @@ def y_coefficient(n: int, k: int, u: int) -> int:
 
 @dataclass(frozen=True)
 class StructuralY:
-    """Block-product evaluation of Y_u[n, k].
+    """Y_u[n, k] as a product of local factors, one per p^a || n.
 
-    fallback_blocks lists the prime-power blocks q^a (a >= 2) that had no
-    closed form for the given u and were evaluated by direct summation.
+    fallback_blocks lists, by increasing p, the blocks p^a with no closed
+    form at this u (a >= 2 and u >= 2), whose factor is the direct sum.
     """
 
     n: int
@@ -156,60 +159,33 @@ class StructuralY:
 
 
 def y_coefficient_structural_detail(n: int, k: int, u: int) -> StructuralY:
-    """Evaluate Y_u[n, k] multiplicatively over coprime blocks of n.
+    """Evaluate Y_u[n, k] as the product of Y_u[p^a, p^v] over p^a || n, v = v_p(k).
 
-    The square-free part of n forms one block: there Y is n_block on the
-    full divisor for odd u and a row sum of the Ramanujan matrix for
-    even u.  Prime-power blocks q^a with a >= 2 have closed forms for
-    u <= 1 (odd a: concentrated at k = q^((a+1)/2); even a = 2t:
-    q^t * phi(q^i) for k = q^i with i <= t); for u >= 2 those blocks fall
-    back to direct summation and are flagged.
+    The local factor is the Ramanujan-matrix row sum for u = 0, or a = 1
+    with u even; p^a if 2v = a + 1, else 0, for a = 1 with u odd, or
+    u = 1 with a odd; p^t * phi(p^v) if v <= t, else 0, for u = 1 and
+    a = 2t.  Any other block p^a falls back to the direct sum
+    `y_coefficient(p^a, p^v, u)` and is listed in fallback_blocks.
     """
-    if n < 1 or k < 1 or n % k != 0:
-        raise ValueError(f"need k | n, got n={n}, k={k}")
-    if u < 0:
-        raise ValueError(f"u must be >= 0, got {u}")
+    _require_divisor(n, k, u)
     value = 1
     fallback = []
-    squarefree_n = 1
-    squarefree_k = 1
+    rest = k
     for p, a in factorize(n).factors:
-        kp = 1
-        kk = k
-        while kk % p == 0:
-            kk //= p
-            kp *= p
-        if a == 1:
-            squarefree_n *= p
-            squarefree_k *= kp
-            continue
-        block = p**a
-        if u == 0:
-            value *= row_sum_fgk(block, kp)
+        v = 0
+        while rest % p == 0:
+            rest //= p
+            v += 1
+        if u == 0 or (a == 1 and u % 2 == 0):
+            value *= _row_sum_factor(p, a, v)
+        elif a % 2 == 1 and (a == 1 or u == 1):
+            value *= p**a if 2 * v == a + 1 else 0
         elif u == 1:
-            if a % 2 == 1:
-                mid = p ** ((a + 1) // 2)
-                value *= block if kp == mid else 0
-            else:
-                t = a // 2
-                i = 0
-                q = kp
-                while q > 1:
-                    q //= p
-                    i += 1
-                if i <= t:
-                    phi = 1 if kp == 1 else (p - 1) * (kp // p)
-                    value *= p**t * phi
-                else:
-                    value *= 0
+            t = a // 2
+            value *= p**t * (p**v - p**v // p) if v <= t else 0
         else:
-            fallback.append(block)
-            value *= y_coefficient(block, kp, u)
-    if squarefree_n > 1 or n == 1:
-        if u % 2 == 1:
-            value *= squarefree_n if squarefree_k == squarefree_n else 0
-        else:
-            value *= row_sum_fgk(squarefree_n, squarefree_k)
+            fallback.append(p**a)
+            value *= y_coefficient(p**a, p**v, u)
     return StructuralY(n, k, u, value, tuple(fallback))
 
 
@@ -447,7 +423,7 @@ class ScalarDivisibility:
 
 
 def scalar_divisibility_check(n: int, *, cap: int | None = None) -> ScalarDivisibility:
-    _check_degree(n, cap)
+    expansion = rnu_schur_expansion(n, 1, cap=cap)
     odd_part = 1
     even_part = 1
     for p, a in factorize(n).factors:
@@ -456,7 +432,6 @@ def scalar_divisibility_check(n: int, *, cap: int | None = None) -> ScalarDivisi
         else:
             even_part *= p**a
     scalar = odd_part * isqrt(even_part)
-    expansion = rnu_schur_expansion(n, 1, cap=cap)
     divides = all(c % scalar == 0 and c >= 0 for c in expansion.terms.values())
     return ScalarDivisibility(n, odd_part, even_part, scalar, divides)
 

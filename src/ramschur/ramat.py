@@ -93,13 +93,20 @@ def row_sum_direct(n: int, d: int) -> int:
     return sum(ramanujan_sum(d, k) for k in divisors(n))
 
 
-def row_sum_fgk(n: int, d: int) -> int:
-    """a_d(n) by the closed product formula.
+def _row_sum_factor(p: int, alpha: int, beta: int) -> int:
+    """The factor of a_d(n) at p^alpha || n, with beta = v_p(d).
 
-    For each prime power p^alpha || n with beta = v_p(d), the factor is
-    alpha + 1 when beta = 0 and otherwise
+    It is alpha + 1 when beta = 0 and otherwise
     (alpha - beta + 1) * phi(p^beta) - p^(beta - 1).
     """
+    if beta == 0:
+        return alpha + 1
+    pb1 = p ** (beta - 1)
+    return (alpha - beta + 1) * (p - 1) * pb1 - pb1
+
+
+def row_sum_fgk(n: int, d: int) -> int:
+    """a_d(n) by the closed product formula, one `_row_sum_factor` per prime."""
     if n < 1 or d < 1 or n % d != 0:
         raise ValueError(f"row_sum_fgk requires d | n, got n={n}, d={d}")
     out = 1
@@ -109,11 +116,7 @@ def row_sum_fgk(n: int, d: int) -> int:
         while dd % p == 0:
             dd //= p
             beta += 1
-        if beta == 0:
-            out *= alpha + 1
-        else:
-            pb1 = p ** (beta - 1)
-            out *= (alpha - beta + 1) * (p - 1) * pb1 - pb1
+        out *= _row_sum_factor(p, alpha, beta)
     return out
 
 

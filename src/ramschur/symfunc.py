@@ -118,6 +118,8 @@ def partitions_of(n: int, *, cap: int | None = None) -> Iterator[Partition]:
 @lru_cache(maxsize=None)
 def partition_list(n: int) -> tuple[Partition, ...]:
     """Cached tuple of all partitions of n, reverse lexicographic."""
+    if n < 0:
+        raise ValueError(f"partition_list requires n >= 0, got {n}")
     return tuple(_partitions_desc(n))
 
 
@@ -208,7 +210,7 @@ def _rectangle_terms(n: int, d: int) -> Mapping[Partition, int]:
         n_factorial = factorial(n)
         return {lam: _syt(n_factorial, lam) for lam in partition_list(n)}
     k = n // d
-    syt = [[(mu, syt_count(mu)) for mu in partition_list(m)] for m in range(k + 1)]
+    syt = [_rectangle_terms(m, 1).items() for m in range(k + 1)]
     runner_pairs = comb(d, 2)
     terms = {}
     # Quotient sizes: the compositions of k into d parts, as bar positions.
@@ -251,7 +253,7 @@ def power_sum_rectangle_expansion(n: int, d: int, *, cap: int | None = None) -> 
     limit = DEFAULT_CAPS.schur_degree if cap is None else cap
     if n > limit:
         raise CapExceeded(f"degree {n} exceeds the expansion cap {limit}")
-    return SchurExpansion(n, dict(_rectangle_terms(n, d)))
+    return SchurExpansion(n, _rectangle_terms(n, d))
 
 
 def _qint_mul(poly: list[int], k: int) -> list[int]:

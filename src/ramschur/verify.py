@@ -22,7 +22,6 @@ from .arith import (
     moebius,
     ramanujan_sum,
 )
-from .config import DEFAULT_CAPS
 from .foulkes import (
     _ell_terms,
     check_positivity,
@@ -231,7 +230,7 @@ def check_basis_round_trip(max_n=None):
     for n in range(1, limit + 1):
         for u in range(0, 5):
             ell = rnu_ell_expansion(n, u)
-            schur = rnu_schur_expansion(n, u, cap=max(limit, DEFAULT_CAPS.schur_degree))
+            schur = rnu_schur_expansion(n, u, cap=limit)
             combined: dict = {}
             for k, w in ell.coeffs.items():
                 for lam, mult in _ell_terms(n, gcd(n, k)).items():
@@ -296,7 +295,7 @@ def check_conjugation_symmetry(max_n=None):
     name = "conjugation-symmetry"
     limit = _bound(max_n, 15)
     for n in range(1, limit + 1, 2):
-        expansion = rnu_schur_expansion(n, 1, cap=max(limit, DEFAULT_CAPS.schur_degree))
+        expansion = rnu_schur_expansion(n, 1, cap=limit)
         for lam, c in expansion.terms.items():
             if expansion.terms.get(conjugate(lam), 0) != c:
                 return _fail(name, f"conjugate coefficient differs at n={n}, shape={lam}")
@@ -307,7 +306,7 @@ def check_all_irreducibles_u0(max_n=None):
     name = "all-irreducibles-u0"
     limit = _bound(max_n, 14)
     for n in range(1, limit + 1):
-        expansion = rnu_schur_expansion(n, 0, cap=max(limit, DEFAULT_CAPS.schur_degree))
+        expansion = rnu_schur_expansion(n, 0, cap=limit)
         missing_sign = n % 4 == 2
         for lam in partition_list(n):
             c = expansion.terms.get(lam, 0)
@@ -324,7 +323,7 @@ def check_trivial_multiplicity(max_n=None):
     limit = _bound(max_n, 20)
     for n in range(1, limit + 1):
         for u in range(0, 7):
-            expansion = rnu_schur_expansion(n, u, cap=max(limit, DEFAULT_CAPS.schur_degree))
+            expansion = rnu_schur_expansion(n, u, cap=limit)
             if expansion.terms.get((n,), 0) != trivial_multiplicity(n, u):
                 return _fail(name, f"trivial coefficient mismatch at n={n}, u={u}")
             if expansion.terms.get((1,) * n, 0) != sign_multiplicity(n, u):
@@ -337,7 +336,7 @@ def check_dual_foulkes(max_n=None):
     limit = _bound(max_n, 12)
     for n in range(1, limit + 1):
         maj_by_shape = {
-            lam: maj_distribution(lam, cap=max(limit, DEFAULT_CAPS.maj_degree))
+            lam: maj_distribution(lam, cap=limit)
             for lam in partition_list(n)
         }
         for r in range(1, n + 1):
@@ -352,7 +351,7 @@ def check_swanson(max_n=None):
     name = "swanson-vanishing"
     limit = _bound(max_n, 12)
     for n in range(2, limit + 1):
-        violations = swanson_vanishing_check(n, cap=max(limit, DEFAULT_CAPS.maj_degree))
+        violations = swanson_vanishing_check(n, cap=limit)
         if violations:
             v = violations[0]
             return _fail(name, f"violation at n={n}: shape={v.shape}, r={v.r}")
@@ -366,7 +365,7 @@ def check_quick_reject_consistency(max_n=None):
         for u in range(0, 9):
             if quick_reject(n, u) is None:
                 continue
-            expansion = rnu_schur_expansion(n, u, cap=max(limit, DEFAULT_CAPS.schur_degree))
+            expansion = rnu_schur_expansion(n, u, cap=limit)
             if min(expansion.terms.values()) >= 0:
                 return _fail(name, f"quick_reject contradicts positivity at n={n}, u={u}")
     return _ok(name, f"n <= {limit}, u <= 8")

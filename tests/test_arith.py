@@ -147,16 +147,14 @@ class TestRamanujanSum:
     @given(
         st.integers(min_value=1, max_value=200),
         st.integers(min_value=1, max_value=200),
-        st.integers(min_value=1, max_value=200),
-        st.integers(min_value=1, max_value=200),
+        st.data(),
     )
     @settings(max_examples=400)
-    def test_multiplicativity_random(self, m, n, x, y):
-        # Strip every prime of m*x from n and y, so gcd(m*x, n*y) = 1.
-        while (g := math.gcd(m * x, n)) > 1:
-            n //= g
-        while (g := math.gcd(m * x, y)) > 1:
-            y //= g
+    def test_multiplicativity_random(self, m, x, data):
+        # Draw n and y among the values coprime to m*x, so gcd(m*x, n*y) = 1.
+        coprime = st.sampled_from([v for v in range(1, 201) if math.gcd(v, m * x) == 1])
+        n = data.draw(coprime)
+        y = data.draw(coprime)
         assert ramanujan_sum(m * n, x * y) == ramanujan_sum(m, x) * ramanujan_sum(n, y)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramschur import foulkes
-from ramschur.arith import divisors, ramanujan_sum
+from ramschur.arith import divisors, factorize, ramanujan_sum
 from ramschur.errors import CapExceeded
 from ramschur.foulkes import (
     RejectionReason,
@@ -130,6 +130,20 @@ class TestYStructural:
         assert detail.fallback_blocks == (8,)
         # square-free blocks never fall back
         assert y_coefficient_structural_detail(30, 6, 5).fully_structural
+
+    def test_fallback_blocks_are_the_square_blocks_past_u1(self):
+        for n in range(1, 301):
+            factors = factorize(n).factors
+            for u in range(6):
+                expected = tuple(p**a for p, a in factors if a >= 2 and u >= 2)
+                for k in divisors(n):
+                    assert y_coefficient_structural_detail(n, k, u).fallback_blocks == expected
+        for n, k, u in ((6, 4, 1), (6, 2, -1)):
+            with pytest.raises(ValueError) as direct:
+                y_coefficient(n, k, u)
+            with pytest.raises(ValueError) as structural:
+                y_coefficient_structural_detail(n, k, u)
+            assert str(structural.value) == str(direct.value)
 
     @given(st.integers(min_value=1, max_value=500), st.integers(min_value=0, max_value=5))
     @settings(max_examples=200, deadline=None)

@@ -59,6 +59,10 @@ class TestPartitions:
         with pytest.raises(ValueError):
             list(partitions_of(-1))
 
+    def test_partition_list_rejects_negative(self):
+        with pytest.raises(ValueError, match=r"partition_list requires n >= 0, got -1"):
+            partition_list(-1)
+
 
 class TestConjugate:
     def test_examples(self):
